@@ -1,8 +1,10 @@
 """Command-line front end for reproducible trace / game / sweep runs.
 
 Every file-producing command writes a flat ``<output>.manifest`` of
-``key=value`` lines holding all resolved parameters; ``rerun`` replays a
-manifest and regenerates the output byte-identically.
+``key=value`` lines: the command, the RNG engine tag, the package, Python
+and numpy versions, then every parsed argument as resolved.  ``rerun``
+turns the arguments back into options and regenerates the output
+byte-identically; it refuses a manifest from another engine.
 
 Exit codes: 0 success, 1 domain or runtime error, 2 usage error.
 """
@@ -16,6 +18,7 @@ import sys
 from . import __version__
 from .errors import QDatingError
 from .experiment import (
+    ENGINE,
     SweepSpec,
     amplitude_trace,
     boundary_csv,
@@ -45,8 +48,26 @@ def _probability(name: str, value: float) -> float:
     return value
 
 
-def write_manifest(out_path: str, fields: dict[str, object]) -> str:
-    path = out_path + ".manifest"
+# Commands that write a manifest; ``rerun`` replays no other.
+MANIFEST_COMMANDS = ("trace", "sweep")
+# Manifest keys that describe the run rather than hold one of its arguments.
+HEADER_KEYS = ("command", "engine", "version", "python", "numpy")
+
+
+def write_manifest(args: argparse.Namespace) -> str:
+    from numpy import __version__ as numpy_version
+
+    fields = {
+        "command": args.command,
+        "engine": ENGINE,
+        "version": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": numpy_version,
+    }
+    for key, value in vars(args).items():
+        if value is not None and key not in ("command", "func"):
+            fields[key] = value
+    path = args.out + ".manifest"
     lines = [f"{key}={value}" for key, value in fields.items()]
     write_text(path, "\n".join(lines) + "\n")
     return path
@@ -71,17 +92,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise UsageError("--qubits must be >= 1 for trace")
     points = amplitude_trace(args.qubits, args.target, args.iterations)
     write_text(args.out, trace_csv(points))
-    write_manifest(
-        args.out,
-        {
-            "command": "trace",
-            "version": __version__,
-            "qubits": args.qubits,
-            "target": args.target,
-            "iterations": args.iterations,
-            "out": args.out,
-        },
-    )
+    write_manifest(args)
     return 0
 
 
@@ -108,7 +119,7 @@ def cmd_game(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
-    seed = _resolve_seed(args.seed)
+    args.seed = _resolve_seed(args.seed)
     spec = SweepSpec(
         n_qubits=args.qubits,
         variant=GameVariant(args.variant),
@@ -116,26 +127,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid_points=args.grid,
         trials_per_cell=args.trials,
         quantum_iterations=args.grover_iterations,
-        seed=seed,
+        seed=args.seed,
     )
     rows = run_sweep(spec)
     write_text(args.out, sweep_csv(rows))
-    fields = {
-        "command": "sweep",
-        "version": __version__,
-        "variant": args.variant,
-        "qubits": args.qubits,
-        "grid": args.grid,
-        "trials": args.trials,
-        "seed": seed,
-        "classic_strategy": args.classic_strategy,
-        "grover_iterations": args.grover_iterations,
-        "out": args.out,
-    }
     if args.boundary_out:
         write_text(args.boundary_out, boundary_csv(sign_boundary(rows)))
-        fields["boundary_out"] = args.boundary_out
-    write_manifest(args.out, fields)
+    write_manifest(args)
     return 0
 
 
@@ -173,31 +171,21 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_rerun(args: argparse.Namespace) -> int:
     fields = read_manifest(args.manifest)
-    command = fields.get("command")
-    if command == "trace":
-        argv = [
-            "trace",
-            "--qubits", fields["qubits"],
-            "--target", fields["target"],
-            "--iterations", fields["iterations"],
-            "--out", fields["out"],
-        ]
-    elif command == "sweep":
-        argv = [
-            "sweep",
-            "--variant", fields["variant"],
-            "--qubits", fields["qubits"],
-            "--grid", fields["grid"],
-            "--trials", fields["trials"],
-            "--seed", fields["seed"],
-            "--classic-strategy", fields["classic_strategy"],
-            "--grover-iterations", fields["grover_iterations"],
-            "--out", fields["out"],
-        ]
-        if "boundary_out" in fields:
-            argv += ["--boundary-out", fields["boundary_out"]]
-    else:
-        raise QDatingError(f"manifest has unknown command {command!r}")
+    engine, command = fields.get("engine"), fields.get("command")
+    if engine != ENGINE:
+        raise QDatingError(
+            f"manifest was written by RNG engine {engine!r}, this is {ENGINE!r}"
+        )
+    if command not in MANIFEST_COMMANDS:
+        raise QDatingError(
+            f"rerun replays only {' and '.join(MANIFEST_COMMANDS)} manifests, "
+            f"got command {command!r}"
+        )
+    argv = [command] + [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in fields.items()
+        if key not in HEADER_KEYS
+    ]
     return main(argv)
 
 
@@ -260,6 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_rerun)
 
+    # Options are never abbreviated, so ``rerun`` refuses a manifest key that
+    # is only a prefix of one.
+    for p in sub.choices.values():
+        p.allow_abbrev = False
+
     return parser
 
 
@@ -274,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (QDatingError, OSError) as exc:
+    except (QDatingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -100,14 +100,21 @@ def amplitude_trace(
     return points
 
 
+# Tag of the RNG engine, written into every manifest.  Bump it whenever any
+# sweep draw changes, so ``rerun`` refuses manifests it no longer reproduces.
+ENGINE = "philox-cell-2"
+
+
 def cell_rng(seed: int, i: int, j: int) -> np.random.Generator:
     """Counter-based per-cell stream: cell (i, j) selects the Philox counter.
 
-    Streams are independent of evaluation order, so cells can be computed
-    concurrently without perturbing results.
+    The cell sits in the two high counter words and draws advance the two
+    low ones, so no two cells' streams overlap.  Streams are independent of
+    evaluation order, so cells can be computed concurrently without
+    perturbing results.
     """
     return np.random.Generator(
-        np.random.Philox(key=seed % 2**128, counter=(i << 64) | j)
+        np.random.Philox(key=seed % 2**128, counter=(i << 192) | (j << 128))
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SizeError
 from .statevector import OracleSpec, closed_form_probability, run_grover
 from .strategies import (
     ClassicStrategy,
@@ -68,6 +68,10 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_qubits < 0:
+            raise SizeError(f"n_qubits must be >= 0, got {self.n_qubits}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.quantum_iterations < 0:
@@ -154,6 +158,8 @@ def run_match(
     (config, profile, rng stream).
     """
     _check_target(cfg, woman)
+    # Checks the register size before any T x k draw is allocated.
+    oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     N, T = cfg.N, cfg.trials
@@ -170,7 +176,6 @@ def run_match(
         accepted = hits & (rng.random((T, k)) < woman.p_accept_classic)
         c_success = accepted.any(axis=1)
 
-    oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
     probs = run_grover(cfg.n_qubits, oracle, cfg.quantum_iterations).probabilities()
     q_proposals = rng.choice(N, size=T, p=probs / probs.sum())
     q_success = (q_proposals == woman.target) & (

@@ -128,7 +128,12 @@ class FeatureTable:
                     continue
                 if len(row) != 2:
                     raise MalformedTableError(f"malformed row: {row!r}")
-                idx = int(row[0])
+                try:
+                    idx = int(row[0])
+                except ValueError:
+                    raise MalformedTableError(
+                        f"index must be an integer, got {row[0]!r}"
+                    ) from None
                 if idx in entries:
                     raise MalformedTableError(f"duplicate index {idx}")
                 entries[idx] = row[1]

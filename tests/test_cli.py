@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qdating.cli import main, read_manifest
+from qdating.experiment import ENGINE
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,18 @@ class TestGame:
         assert code == 1
         assert "pc" in err
 
+    @pytest.mark.parametrize(
+        "qubits, seed, word", [("-1", "1", "n_qubits"), ("3", "-1", "seed")]
+    )
+    def test_negative_size_or_seed(self, capsys, qubits, seed, word):
+        code, _, err = run_cli(
+            capsys,
+            "game", "--variant", "1", "--pc", "0.5", "--pq", "0.5",
+            f"--qubits={qubits}", f"--seed={seed}",
+        )
+        assert code == 1
+        assert err.startswith("error:") and word in err
+
     def test_entropy_seed_recorded(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -166,6 +179,20 @@ class TestSweep:
             "--trials", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "qubits, seed, word", [("-1", "1", "n_qubits"), ("3", "-1", "seed")]
+    )
+    def test_negative_size_or_seed(self, tmp_path, capsys, qubits, seed, word):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--variant", "1", "--grid", "3", "--trials", "10",
+            "--out", str(out), f"--qubits={qubits}", f"--seed={seed}",
+        )
+        assert code == 1
+        assert err.startswith("error:") and word in err
+        assert not out.exists()
 
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -241,3 +268,75 @@ class TestManifestRoundTrip:
         assert code == 0
         assert out.read_bytes() == first
         assert bout.read_bytes() == first_b
+
+    def test_manifest_schema(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        run_cli(
+            capsys,
+            "sweep", "--variant", "1", "--qubits", "2", "--grid", "2",
+            "--trials", "10", "--out", str(out),
+        )
+        manifest = read_manifest(str(out) + ".manifest")
+        assert list(manifest)[:5] == ["command", "engine", "version", "python", "numpy"]
+        assert manifest["command"] == "sweep"
+        assert manifest["engine"] == ENGINE
+        assert "boundary_out" not in manifest
+        assert int(manifest["seed"]) >= 0
+
+    def test_rerun_rewrites_the_same_manifest(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        manifest = tmp_path / "sweep.csv.manifest"
+        run_cli(
+            capsys,
+            "sweep", "--variant", "2", "--qubits", "2", "--grid", "3",
+            "--trials", "20", "--seed", "5", "--out", str(out),
+        )
+        first = manifest.read_bytes()
+        code, _, _ = run_cli(capsys, "rerun", "--manifest", str(manifest))
+        assert code == 0
+        assert manifest.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("missing_key", 2),
+            ("abbreviated_key", 2),
+            ("not_text", 1),
+            ("no_engine", 1),
+            ("wrong_engine", 1),
+            ("self_rerun", 1),
+            ("unknown_command", 1),
+        ],
+    )
+    def test_malformed_manifest(self, tmp_path, capsys, case, code):
+        out = tmp_path / "trace.csv"
+        manifest = tmp_path / "trace.csv.manifest"
+        run_cli(
+            capsys,
+            "trace", "--qubits", "3", "--target", "1",
+            "--iterations", "2", "--out", str(out),
+        )
+        lines = manifest.read_text().splitlines()
+        if case == "missing_key":
+            lines = [line for line in lines if not line.startswith("qubits=")]
+        elif case == "abbreviated_key":
+            lines = [line.replace("qubits=", "qub=") for line in lines]
+        elif case == "not_text":
+            lines = lines + ["target=\udcff"]
+        elif case == "no_engine":
+            lines = [line for line in lines if not line.startswith("engine=")]
+        elif case == "wrong_engine":
+            lines = [f"engine={ENGINE}-other" if line.startswith("engine=") else line
+                     for line in lines]
+        elif case == "self_rerun":
+            lines = ["command=rerun", f"engine={ENGINE}", f"manifest={manifest}"]
+        else:
+            lines = ["command=frobnicate" if line.startswith("command=") else line
+                     for line in lines]
+        manifest.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
+        got, _, err = run_cli(capsys, "rerun", "--manifest", str(manifest))
+        assert got == code
+        assert "Traceback" not in err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1
+        assert err.rstrip("\n").splitlines()[-1] == error_lines[0]

@@ -1,0 +1,86 @@
+"""Every argv the CLI accepts ends with exit code 0, 1 or 2, never a traceback.
+
+Sizes are bounded by arithmetic, not by trust in the validators: at most
+8 qubits (N = 256), 200 trials, a 5 x 5 grid and 50 iterates, so the
+largest draw any example can start is 200 x 128 game-2 proposals per cell.
+"""
+
+import contextlib
+import io
+import math
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdating.cli import main
+
+QUBITS = st.integers(-2, 8)
+TRIALS = st.integers(-2, 200)
+GRID = st.integers(-1, 5)
+ITERATIONS = st.integers(-2, 50)
+SEEDS = st.integers(-2, 2**64 - 1)
+INDICES = st.integers(-2, 300)
+PROBABILITIES = st.one_of(
+    st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+VARIANTS = st.integers(1, 2)
+STRATEGIES = st.sampled_from(["memoryless", "sweep"])
+
+# command -> (required options, optional options), each option -> values.
+COMMANDS = {
+    "trace": (
+        {"qubits": QUBITS, "target": INDICES, "iterations": ITERATIONS, "out": None},
+        {},
+    ),
+    "game": (
+        {"variant": VARIANTS, "qubits": QUBITS, "pc": PROBABILITIES,
+         "pq": PROBABILITIES},
+        {"trials": TRIALS, "seed": SEEDS, "target": INDICES,
+         "classic-strategy": STRATEGIES, "grover-iterations": ITERATIONS},
+    ),
+    "sweep": (
+        {"variant": VARIANTS, "qubits": QUBITS, "out": None},
+        {"grid": GRID, "trials": TRIALS, "seed": SEEDS,
+         "classic-strategy": STRATEGIES, "grover-iterations": ITERATIONS,
+         "boundary-out": None},
+    ),
+    "analytic": (
+        {"n": st.one_of(INDICES, QUBITS.map(lambda q: 2**q if q >= 0 else q))},
+        {"iterations": ITERATIONS, "variant": VARIANTS, "pc": PROBABILITIES,
+         "pq": PROBABILITIES, "classic-strategy": STRATEGIES,
+         "grover-iterations": ITERATIONS},
+    ),
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    chosen = dict(required)
+    chosen.update(
+        (name, values) for name, values in optional.items() if draw(st.booleans())
+    )
+    # ``None`` marks an output path, filled in under the example's directory.
+    return [command] + [
+        (name, None if values is None else draw(values))
+        for name, values in chosen.items()
+    ]
+
+
+@given(invocations())
+@settings(max_examples=200, deadline=None)
+def test_exit_code_is_0_1_or_2(invocation):
+    command, options = invocation[0], invocation[1:]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + [
+            f"--{name}={os.path.join(tmp, name) if value is None else value}"
+            for name, value in options
+        ]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()

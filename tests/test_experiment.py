@@ -67,6 +67,14 @@ class TestCellRng:
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
+    def test_neighbouring_cells_share_no_draws(self):
+        def draws(i, j):
+            return set(cell_rng(5, i, j).integers(0, 2**63, size=1024).tolist())
+
+        cell = draws(2, 3)
+        assert not cell & draws(2, 4)
+        assert not cell & draws(3, 3)
+
     def test_stream_is_reproducible(self):
         np.testing.assert_array_equal(
             cell_rng(9, 3, 7).random(8), cell_rng(9, 3, 7).random(8)

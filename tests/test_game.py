@@ -10,6 +10,7 @@ from qdating import (
     GameConfig,
     GameStats,
     GameVariant,
+    SizeError,
     WomanProfile,
     expected_dt,
     play_turn,
@@ -40,6 +41,14 @@ class TestConfig:
                 classic_attempts_per_turn=5,
                 classic_strategy=ClassicStrategy.SWEEP,
             )
+
+    def test_negative_register_rejected(self):
+        with pytest.raises(SizeError):
+            GameConfig(-1, GameVariant.GAME1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError):
+            GameConfig(3, GameVariant.GAME1, seed=-1)
 
     def test_probabilities_validated(self):
         with pytest.raises(ConfigurationError):
@@ -106,7 +115,20 @@ class TestExpectedDt:
         )
 
 
+class _NoDraws:
+    """An rng stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the register was checked")
+
+
 class TestRunMatch:
+    def test_oversized_register_fails_before_drawing(self):
+        # Game 2 at 21 qubits would draw a T x 2^20 proposal matrix.
+        cfg = GameConfig(21, GameVariant.GAME2, trials=1000)
+        with pytest.raises(SizeError):
+            run_match(cfg, WomanProfile(0, 0.5, 0.5), rng=_NoDraws())
+
     def test_single_woman_threshold(self):
         cfg = GameConfig(0, GameVariant.GAME1, trials=200_000, seed=11)
         woman = WomanProfile(0, 0.8, 0.3)

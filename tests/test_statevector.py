@@ -100,6 +100,12 @@ class TestFeatureTable:
         with pytest.raises(MalformedTableError):
             FeatureTable.from_csv(path)
 
+    def test_from_csv_rejects_non_integer_index(self, tmp_path):
+        path = tmp_path / "women.csv"
+        path.write_text("index,feature\n0,a\none,b\n")
+        with pytest.raises(MalformedTableError):
+            FeatureTable.from_csv(path)
+
 
 class TestOracle:
     def test_uniform_n4(self):

@@ -18,10 +18,8 @@ from .game import (
     GameConfig,
     GameStats,
     GameVariant,
-    TurnOutcome,
     WomanProfile,
     expected_dt,
-    play_turn,
     run_match,
 )
 from .statevector import (

@@ -130,9 +130,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     rows = run_sweep(spec)
-    write_text(args.out, sweep_csv(rows))
+    text = sweep_csv(rows)
+    # The boundary file goes first, so a bad --boundary-out leaves no
+    # sweep CSV behind without its manifest.
     if args.boundary_out:
         write_text(args.boundary_out, boundary_csv(sign_boundary(rows)))
+    write_text(args.out, text)
     write_manifest(args)
     return 0
 

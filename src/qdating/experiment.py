@@ -102,7 +102,7 @@ def amplitude_trace(
 
 # Tag of the RNG engine, written into every manifest.  Bump it whenever any
 # sweep draw changes, so ``rerun`` refuses manifests it no longer reproduces.
-ENGINE = "philox-cell-2"
+ENGINE = "philox-cell-3"
 
 
 def cell_rng(seed: int, i: int, j: int) -> np.random.Generator:

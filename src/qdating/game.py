@@ -16,19 +16,18 @@ in the same turn), and the headline statistic over T turns is
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, SizeError
-from .statevector import OracleSpec, closed_form_probability, run_grover
-from .strategies import (
-    ClassicStrategy,
-    SweepState,
-    classic_memoryless_propose,
-    classic_sweep_propose,
-    quantum_propose,
+from .statevector import (
+    OracleSpec,
+    closed_form_probability,
+    run_grover,
+    success_probability,
 )
+from .strategies import ClassicStrategy
 
 
 class GameVariant(enum.IntEnum):
@@ -98,12 +97,6 @@ class GameConfig:
 
 
 @dataclass(frozen=True)
-class TurnOutcome:
-    c_success: bool
-    q_success: bool
-
-
-@dataclass(frozen=True)
 class GameStats:
     q_successes: int
     c_successes: int
@@ -123,42 +116,20 @@ def _check_target(cfg: GameConfig, woman: WomanProfile) -> None:
         )
 
 
-def play_turn(
-    cfg: GameConfig, woman: WomanProfile, rng: np.random.Generator
-) -> TurnOutcome:
-    """One turn: C's attempts first, then Q's single shot.
-
-    A rejection does not end C's turn; every proposal that hits the target
-    triggers an independent acceptance draw.
-    """
-    _check_target(cfg, woman)
-    c_success = False
-    sweep = SweepState() if cfg.classic_strategy == ClassicStrategy.SWEEP else None
-    for _ in range(cfg.classic_attempts_per_turn):
-        if sweep is not None:
-            idx = classic_sweep_propose(cfg.N, sweep, rng)
-        else:
-            idx = classic_memoryless_propose(cfg.N, rng)
-        if idx == woman.target and rng.random() < woman.p_accept_classic:
-            c_success = True
-
-    oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
-    q_idx = quantum_propose(cfg.n_qubits, oracle, cfg.quantum_iterations, rng)
-    q_success = q_idx == woman.target and rng.random() < woman.p_accept_quantum
-    return TurnOutcome(c_success=c_success, q_success=q_success)
-
-
 def run_match(
     cfg: GameConfig, woman: WomanProfile, rng: np.random.Generator | None = None
 ) -> GameStats:
     """Play ``cfg.trials`` independent turns and tally both players.
 
-    Turns are sampled in vectorized batches (distributionally identical to
-    looping :func:`play_turn`); results are a pure function of
-    (config, profile, rng stream).
+    A turn depends only on how many of each player's proposals hit the
+    woman's index.  C's k attempts hit Binomial(k, 1/N) times (memoryless)
+    or, without replacement, once with probability k/N (sweep); Q's one
+    measurement hits with the state vector's target probability p_G.  Every
+    hit gets its own acceptance draw, so a player succeeds in a turn when
+    Binomial(hits, p_accept) > 0.  Memory is O(T); results are a pure
+    function of (config, profile, rng stream).
     """
-    _check_target(cfg, woman)
-    # Checks the register size before any T x k draw is allocated.
+    # Checks the register size and the target before any draw.
     oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -166,26 +137,17 @@ def run_match(
     k = cfg.classic_attempts_per_turn
 
     if cfg.classic_strategy == ClassicStrategy.SWEEP:
-        # Without replacement the target shows up at most once per turn,
-        # with probability k/N, triggering a single acceptance draw.
-        found = rng.random(T) < k / N
-        c_success = found & (rng.random(T) < woman.p_accept_classic)
+        c_hits = rng.random(T) < k / N
     else:
-        proposals = rng.integers(0, N, size=(T, k))
-        hits = proposals == woman.target
-        accepted = hits & (rng.random((T, k)) < woman.p_accept_classic)
-        c_success = accepted.any(axis=1)
+        c_hits = rng.binomial(k, 1 / N, T)
+    state = run_grover(cfg.n_qubits, oracle, cfg.quantum_iterations)
+    q_hits = rng.random(T) < success_probability(state, woman.target)
 
-    probs = run_grover(cfg.n_qubits, oracle, cfg.quantum_iterations).probabilities()
-    q_proposals = rng.choice(N, size=T, p=probs / probs.sum())
-    q_success = (q_proposals == woman.target) & (
-        rng.random(T) < woman.p_accept_quantum
-    )
-
+    p_accept = [[woman.p_accept_classic], [woman.p_accept_quantum]]
+    accepted = rng.binomial(np.stack([c_hits, q_hits]), p_accept) > 0
+    c_successes, q_successes = accepted.sum(axis=1)
     return GameStats(
-        q_successes=int(q_success.sum()),
-        c_successes=int(c_success.sum()),
-        trials=T,
+        q_successes=int(q_successes), c_successes=int(c_successes), trials=T
     )
 
 
@@ -226,7 +188,3 @@ def stats_csv_row(cfg: GameConfig, woman: WomanProfile, stats: GameStats) -> str
         ]
     )
 
-
-def game1_config(cfg: GameConfig) -> GameConfig:
-    """Copy of ``cfg`` restated as a game-1 protocol (one classic attempt)."""
-    return replace(cfg, variant=GameVariant.GAME1, classic_attempts_per_turn=1)

@@ -99,6 +99,15 @@ class TestGame:
         expected = 25 / 32 * 0.2 - (1 - (7 / 8) ** 4)
         assert d_over_t == pytest.approx(expected, abs=4 * math.sqrt(0.5 / 200_000))
 
+    def test_game2_largest_register(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "game", "--variant", "2", "--qubits", "20", "--trials", "1000",
+            "--pc", "0.5", "--pq", "0.5", "--seed", "1",
+        )
+        assert code == 0
+        assert out.startswith("2,1048576,0.5,0.5,1000,")
+
     def test_probability_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -204,6 +213,19 @@ class TestSweep:
         assert code == 1
         assert err
 
+    def test_unwritable_boundary_path_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--variant", "2", "--qubits", "3", "--grid", "3",
+            "--trials", "10", "--seed", "1", "--out", str(out),
+            "--boundary-out", str(tmp_path / "missing_dir" / "b.csv"),
+        )
+        assert code == 1
+        assert err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest").exists()
+
 
 class TestAnalytic:
     def test_optimal_iterations(self, capsys):
@@ -304,6 +326,7 @@ class TestManifestRoundTrip:
             ("not_text", 1),
             ("no_engine", 1),
             ("wrong_engine", 1),
+            ("previous_engine", 1),
             ("self_rerun", 1),
             ("unknown_command", 1),
         ],
@@ -327,6 +350,9 @@ class TestManifestRoundTrip:
             lines = [line for line in lines if not line.startswith("engine=")]
         elif case == "wrong_engine":
             lines = [f"engine={ENGINE}-other" if line.startswith("engine=") else line
+                     for line in lines]
+        elif case == "previous_engine":
+            lines = ["engine=philox-cell-2" if line.startswith("engine=") else line
                      for line in lines]
         elif case == "self_rerun":
             lines = ["command=rerun", f"engine={ENGINE}", f"manifest={manifest}"]

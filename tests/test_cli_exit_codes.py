@@ -2,7 +2,7 @@
 
 Sizes are bounded by arithmetic, not by trust in the validators: at most
 8 qubits (N = 256), 200 trials, a 5 x 5 grid and 50 iterates, so the
-largest draw any example can start is 200 x 128 game-2 proposals per cell.
+largest draw any example can start is 200 turns per player per cell.
 """
 
 import contextlib

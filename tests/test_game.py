@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,18 +11,53 @@ from qdating import (
     GameConfig,
     GameStats,
     GameVariant,
+    OracleSpec,
     SizeError,
+    SweepState,
     WomanProfile,
+    classic_memoryless_propose,
+    classic_sweep_propose,
     expected_dt,
-    play_turn,
+    quantum_propose,
     run_match,
 )
-from qdating.game import game1_config, stats_csv_row
+from qdating.game import stats_csv_row
 
 
 def mc_tolerance(trials: int) -> float:
     # Conservative binomial bound: var of the per-turn difference <= 1/2.
     return 4 * math.sqrt(0.5 / trials)
+
+
+@dataclass(frozen=True)
+class TurnOutcome:
+    c_success: bool
+    q_success: bool
+
+
+def play_turn(
+    cfg: GameConfig, woman: WomanProfile, rng: np.random.Generator
+) -> TurnOutcome:
+    """Scalar reference turn: C's attempts first, then Q's single shot.
+
+    Plays every proposal with the scalar proposers.  A rejection does not
+    end C's turn; every proposal that hits the target triggers an
+    independent acceptance draw.
+    """
+    oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
+    c_success = False
+    sweep = SweepState() if cfg.classic_strategy == ClassicStrategy.SWEEP else None
+    for _ in range(cfg.classic_attempts_per_turn):
+        if sweep is not None:
+            idx = classic_sweep_propose(cfg.N, sweep, rng)
+        else:
+            idx = classic_memoryless_propose(cfg.N, rng)
+        if idx == woman.target and rng.random() < woman.p_accept_classic:
+            c_success = True
+
+    q_idx = quantum_propose(cfg.n_qubits, oracle, cfg.quantum_iterations, rng)
+    q_success = q_idx == woman.target and rng.random() < woman.p_accept_quantum
+    return TurnOutcome(c_success=c_success, q_success=q_success)
 
 
 class TestConfig:
@@ -124,7 +160,8 @@ class _NoDraws:
 
 class TestRunMatch:
     def test_oversized_register_fails_before_drawing(self):
-        # Game 2 at 21 qubits would draw a T x 2^20 proposal matrix.
+        # 21 qubits is past MAX_QUBITS; the register is checked before any
+        # draw or state vector.
         cfg = GameConfig(21, GameVariant.GAME2, trials=1000)
         with pytest.raises(SizeError):
             run_match(cfg, WomanProfile(0, 0.5, 0.5), rng=_NoDraws())
@@ -190,15 +227,23 @@ class TestRunMatch:
         cfg2 = GameConfig(
             3, GameVariant.GAME2, trials=trials, classic_attempts_per_turn=1, seed=3
         )
-        cfg1 = game1_config(cfg2)
+        cfg1 = replace(cfg2, variant=GameVariant.GAME1, classic_attempts_per_turn=1)
         assert cfg1.classic_attempts_per_turn == 1
         d2 = run_match(cfg2, woman).d_over_t
         d1 = run_match(cfg1, woman).d_over_t
         assert abs(d1 - d2) < 2 * mc_tolerance(trials)
 
-    def test_agrees_with_turn_by_turn_play(self):
+    @pytest.mark.parametrize(
+        "variant,strategy",
+        [
+            (GameVariant.GAME1, ClassicStrategy.MEMORYLESS),
+            (GameVariant.GAME2, ClassicStrategy.MEMORYLESS),
+            (GameVariant.GAME2, ClassicStrategy.SWEEP),
+        ],
+    )
+    def test_agrees_with_turn_by_turn_play(self, variant, strategy):
         trials = 20_000
-        cfg = GameConfig(3, GameVariant.GAME2, trials=trials, seed=17)
+        cfg = GameConfig(3, variant, trials=trials, classic_strategy=strategy, seed=17)
         woman = WomanProfile(6, 0.8, 0.3)
         rng = np.random.default_rng(17)
         outcomes = [play_turn(cfg, woman, rng) for _ in range(trials)]
@@ -209,6 +254,20 @@ class TestRunMatch:
         )
         vectorized = run_match(cfg, woman)
         assert abs(looped.d_over_t - vectorized.d_over_t) < 2 * mc_tolerance(trials)
+
+    def test_largest_register_draws_per_turn_not_per_proposal(self):
+        # Game 2 at 20 qubits makes 2^19 classic proposals per turn; the
+        # engine draws per turn, so memory stays that of the state vector.
+        cfg = GameConfig(20, GameVariant.GAME2, trials=1000, seed=1)
+        tracemalloc.start()
+        try:
+            stats = run_match(cfg, WomanProfile(0, 0.5, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.trials == 1000
+        assert 0 <= stats.c_successes <= 1000
+        assert peak < 128 * 2**20
 
 
 class TestStats:

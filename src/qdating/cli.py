@@ -16,19 +16,28 @@ import secrets
 import sys
 
 from . import __version__
-from .errors import QDatingError
+from .errors import ConfigurationError, QDatingError
 from .experiment import (
     ENGINE,
     SweepSpec,
     amplitude_trace,
     boundary_csv,
+    format_float,
     run_sweep,
     sign_boundary,
     sweep_csv,
     trace_csv,
     write_text,
 )
-from .game import GameConfig, GameVariant, WomanProfile, run_match, stats_csv_row
+from .game import (
+    GameConfig,
+    GameVariant,
+    WomanProfile,
+    expected_dt,
+    run_match,
+    stats_csv_row,
+)
+from .statevector import closed_form_probability, optimal_iterations, register_qubits
 from .strategies import ClassicStrategy
 
 
@@ -40,12 +49,6 @@ def _resolve_seed(seed: int | None) -> int:
     # Entropy fallback for exploratory runs; the drawn value is recorded
     # in the manifest / output row so the run stays reproducible.
     return secrets.randbits(63) if seed is None else seed
-
-
-def _probability(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise QDatingError(f"--{name} must be in [0, 1], got {value}")
-    return value
 
 
 # Commands that write a manifest; ``rerun`` replays no other.
@@ -107,9 +110,7 @@ def cmd_game(args: argparse.Namespace) -> int:
         seed=seed,
     )
     woman = WomanProfile(
-        target=args.target,
-        p_accept_classic=_probability("pc", args.pc),
-        p_accept_quantum=_probability("pq", args.pq),
+        target=args.target, p_accept_classic=args.pc, p_accept_quantum=args.pq
     )
     stats = run_match(cfg, woman)
     print(stats_csv_row(cfg, woman, stats))
@@ -117,18 +118,20 @@ def cmd_game(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        raise UsageError("--grid must be >= 2")
     args.seed = _resolve_seed(args.seed)
-    spec = SweepSpec(
-        n_qubits=args.qubits,
-        variant=GameVariant(args.variant),
-        classic_strategy=ClassicStrategy(args.classic_strategy),
-        grid_points=args.grid,
-        trials_per_cell=args.trials,
-        quantum_iterations=args.grover_iterations,
-        seed=args.seed,
-    )
+    try:
+        spec = SweepSpec(
+            n_qubits=args.qubits,
+            variant=GameVariant(args.variant),
+            classic_strategy=ClassicStrategy(args.classic_strategy),
+            grid_points=args.grid,
+            trials_per_cell=args.trials,
+            quantum_iterations=args.grover_iterations,
+            seed=args.seed,
+        )
+    except ConfigurationError as exc:
+        # SweepSpec checks only the grid, which is a usage error.
+        raise UsageError(str(exc)) from None
     rows = run_sweep(spec)
     text = sweep_csv(rows)
     # The boundary file goes first, so a bad --boundary-out leaves no
@@ -141,34 +144,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    from .experiment import format_float
-    from .statevector import closed_form_probability, optimal_iterations
-
-    n = args.n
-    if n < 1 or n & (n - 1):
-        raise QDatingError(f"--n must be a power of two, got {n}")
+    n_qubits = register_qubits(args.n)
     if args.pc is not None or args.pq is not None:
         if args.pc is None or args.pq is None or args.variant is None:
             raise UsageError("expected-d/t mode needs --variant, --pc and --pq")
         cfg = GameConfig(
-            n_qubits=n.bit_length() - 1,
+            n_qubits=n_qubits,
             variant=GameVariant(args.variant),
             quantum_iterations=args.grover_iterations,
             classic_strategy=ClassicStrategy(args.classic_strategy),
         )
         woman = WomanProfile(
-            target=0,
-            p_accept_classic=_probability("pc", args.pc),
-            p_accept_quantum=_probability("pq", args.pq),
+            target=0, p_accept_classic=args.pc, p_accept_quantum=args.pq
         )
-        from .game import expected_dt
-
         print(f"expected_dt,{format_float(expected_dt(cfg, woman))}")
     elif args.iterations is not None:
-        p = closed_form_probability(n, args.iterations)
+        p = closed_form_probability(args.n, args.iterations)
         print(f"probability,{format_float(p)}")
     else:
-        print(f"optimal_iterations,{optimal_iterations(n)}")
+        print(f"optimal_iterations,{optimal_iterations(args.n)}")
     return 0
 
 
@@ -270,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (QDatingError, OSError, UnicodeDecodeError) as exc:
+    except (QDatingError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

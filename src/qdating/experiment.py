@@ -13,13 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridShapeError
 from .game import GameConfig, GameVariant, WomanProfile, expected_dt, run_match
-from .statevector import (
-    OracleSpec,
-    grover_iterate,
-    iteration_bound,
-    success_probability,
-    uniform_superposition,
-)
+from .statevector import OracleSpec, grover_states, success_probability
 from .strategies import ClassicStrategy
 
 
@@ -55,8 +49,6 @@ class SweepSpec:
             raise ConfigurationError(
                 f"grid_points must be >= 2, got {self.grid_points}"
             )
-        if self.trials_per_cell < 1:
-            raise ConfigurationError("trials_per_cell must be >= 1")
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_points)
@@ -75,17 +67,9 @@ def amplitude_trace(
     n_qubits: int, target: int, max_iterations: int
 ) -> list[TracePoint]:
     """Exact probability/amplitude evolution for k = 0 .. max_iterations."""
-    if max_iterations < 0 or max_iterations > iteration_bound(n_qubits):
-        raise ConfigurationError(
-            f"max_iterations must be in [0, {iteration_bound(n_qubits)}]"
-        )
     oracle = OracleSpec(target=target, n_qubits=n_qubits)
-    state = uniform_superposition(n_qubits)
-    N = state.dimension
     points = []
-    for k in range(max_iterations + 1):
-        if k > 0:
-            state = grover_iterate(state, oracle)
+    for k, state in enumerate(grover_states(n_qubits, oracle, max_iterations)):
         p_t = success_probability(state, target)
         others = np.delete(state.probabilities(), target)
         p_other = float(others.mean()) if others.size else 0.0
@@ -120,18 +104,19 @@ def cell_rng(seed: int, i: int, j: int) -> np.random.Generator:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One match per grid cell, rows in row-major (P_c outer) order."""
+    # One config for every cell, so a bad size, T, k or seed fails before any.
+    cfg = GameConfig(
+        n_qubits=spec.n_qubits,
+        variant=spec.variant,
+        trials=spec.trials_per_cell,
+        quantum_iterations=spec.quantum_iterations,
+        classic_strategy=spec.classic_strategy,
+        seed=spec.seed,
+    )
     grid = spec.grid()
     rows = []
     for i, p_c in enumerate(grid):
         for j, p_q in enumerate(grid):
-            cfg = GameConfig(
-                n_qubits=spec.n_qubits,
-                variant=spec.variant,
-                trials=spec.trials_per_cell,
-                quantum_iterations=spec.quantum_iterations,
-                classic_strategy=spec.classic_strategy,
-                seed=spec.seed,
-            )
             woman = WomanProfile(
                 target=0, p_accept_classic=float(p_c), p_accept_quantum=float(p_q)
             )

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SizeError
+from .errors import ConfigurationError
 from .statevector import (
     OracleSpec,
+    check_register,
     closed_form_probability,
     run_grover,
     success_probability,
@@ -44,10 +45,12 @@ class WomanProfile:
     p_accept_quantum: float
 
     def __post_init__(self) -> None:
-        for name in ("p_accept_classic", "p_accept_quantum"):
+        for name, flag in (("p_accept_classic", "pc"), ("p_accept_quantum", "pq")):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {p}")
+                raise ConfigurationError(
+                    f"{name} ({flag}) must be in [0, 1], got {p}"
+                )
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,7 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 0:
-            raise SizeError(f"n_qubits must be >= 0, got {self.n_qubits}")
+        check_register(self.n_qubits)
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
@@ -101,19 +103,10 @@ class GameStats:
     q_successes: int
     c_successes: int
     trials: int
-    d_over_t: float = 0.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "d_over_t", (self.q_successes - self.c_successes) / self.trials
-        )
-
-
-def _check_target(cfg: GameConfig, woman: WomanProfile) -> None:
-    if not 0 <= woman.target < cfg.N:
-        raise ConfigurationError(
-            f"target {woman.target} out of range for N={cfg.N}"
-        )
+    @property
+    def d_over_t(self) -> float:
+        return (self.q_successes - self.c_successes) / self.trials
 
 
 def run_match(
@@ -129,7 +122,7 @@ def run_match(
     Binomial(hits, p_accept) > 0.  Memory is O(T); results are a pure
     function of (config, profile, rng stream).
     """
-    # Checks the register size and the target before any draw.
+    # Checks the target before any draw; GameConfig checked the register.
     oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -159,7 +152,7 @@ def expected_dt(cfg: GameConfig, woman: WomanProfile) -> float:
     chance over k attempts is ``1 - (1 - P_c/N)**k`` (memoryless) or
     ``(k/N) * P_c`` (sweep).
     """
-    _check_target(cfg, woman)
+    OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)  # checks the target
     p_g = closed_form_probability(cfg.N, cfg.quantum_iterations)
     q_term = p_g * woman.p_accept_quantum
     k = cfg.classic_attempts_per_turn

@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -36,6 +36,20 @@ MAX_QUBITS = 20
 NORM_TOLERANCE = 1e-6
 
 
+def check_register(n_qubits: int) -> int:
+    """The one register-size rule: ``0 <= n_qubits <= MAX_QUBITS``."""
+    if not 0 <= n_qubits <= MAX_QUBITS:
+        raise SizeError(f"n_qubits must be in [0, {MAX_QUBITS}], got {n_qubits}")
+    return n_qubits
+
+
+def register_qubits(N: int) -> int:
+    """Qubit count of an ``N``-entry register; N must be a power of two."""
+    if N < 1 or N & (N - 1):
+        raise ConfigurationError(f"N must be a power of two >= 1, got {N}")
+    return check_register(N.bit_length() - 1)
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Amplitude vector of an ``n_qubits`` register.
@@ -48,10 +62,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_qubits <= MAX_QUBITS:
-            raise SizeError(
-                f"n_qubits must be in [0, {MAX_QUBITS}], got {self.n_qubits}"
-            )
+        check_register(self.n_qubits)
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.n_qubits,):
             raise DimensionError(
@@ -79,10 +90,7 @@ class OracleSpec:
     n_qubits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_qubits <= MAX_QUBITS:
-            raise SizeError(
-                f"n_qubits must be in [0, {MAX_QUBITS}], got {self.n_qubits}"
-            )
+        check_register(self.n_qubits)
         if not 0 <= self.target < 2**self.n_qubits:
             raise ConfigurationError(
                 f"target {self.target} out of range for {self.n_qubits} qubits"
@@ -142,15 +150,13 @@ class FeatureTable:
 
 def uniform_superposition(n_qubits: int) -> QuantumState:
     """Equal-weight superposition, amplitude ``1/sqrt(N)`` everywhere."""
-    if not 0 <= n_qubits <= MAX_QUBITS:
-        raise SizeError(f"n_qubits must be in [0, {MAX_QUBITS}], got {n_qubits}")
-    n = 2**n_qubits
+    n = 2 ** check_register(n_qubits)
     return QuantumState(n_qubits, np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128))
 
 
 def basis_state(n_qubits: int, index: int) -> QuantumState:
     """Computational basis state with amplitude 1 at ``index``."""
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
+    amps = np.zeros(2 ** check_register(n_qubits), dtype=np.complex128)
     amps[index] = 1.0
     return QuantumState(n_qubits, amps)
 
@@ -198,8 +204,14 @@ def iteration_bound(n_qubits: int) -> int:
     return int(10 * math.sqrt(2**n_qubits))
 
 
-def run_grover(n_qubits: int, oracle: OracleSpec, iterations: int) -> QuantumState:
-    """Uniform start followed by ``iterations`` Grover iterates."""
+def grover_states(
+    n_qubits: int, oracle: OracleSpec, iterations: int
+) -> Iterator[QuantumState]:
+    """The uniform start, then the state after each of ``iterations`` iterates."""
+    if oracle.n_qubits != n_qubits:
+        raise DimensionError(
+            f"oracle expects {oracle.n_qubits} qubits, asked to run {n_qubits}"
+        )
     if iterations < 0:
         raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
     if iterations > iteration_bound(n_qubits):
@@ -208,12 +220,16 @@ def run_grover(n_qubits: int, oracle: OracleSpec, iterations: int) -> QuantumSta
             f"({iteration_bound(n_qubits)}) for {n_qubits} qubits"
         )
     state = uniform_superposition(n_qubits)
-    if oracle.n_qubits != n_qubits:
-        raise DimensionError(
-            f"oracle expects {oracle.n_qubits} qubits, asked to run {n_qubits}"
-        )
+    yield state
     for _ in range(iterations):
         state = grover_iterate(state, oracle)
+        yield state
+
+
+def run_grover(n_qubits: int, oracle: OracleSpec, iterations: int) -> QuantumState:
+    """Uniform start followed by ``iterations`` Grover iterates."""
+    for state in grover_states(n_qubits, oracle, iterations):
+        pass
     return state
 
 
@@ -242,8 +258,7 @@ def closed_form_probability(N: int, iterations: int) -> float:
 
     Independent of the state-vector path; used as its verification oracle.
     """
-    if N < 1 or N & (N - 1):
-        raise ConfigurationError(f"N must be a power of two >= 1, got {N}")
+    register_qubits(N)
     if iterations < 0:
         raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
     theta = math.asin(1.0 / math.sqrt(N))
@@ -256,8 +271,7 @@ def optimal_iterations(N: int) -> int:
     Scans k = 0 .. ceil(pi / (4*arcsin(1/sqrt(N)))); ties go to smaller k
     (at N=2 every k gives 1/2, so the scan returns 0).
     """
-    if N < 1 or N & (N - 1):
-        raise ConfigurationError(f"N must be a power of two >= 1, got {N}")
+    register_qubits(N)
     theta = math.asin(1.0 / math.sqrt(N))
     k_max = math.ceil(math.pi / (4.0 * theta))
     best_k, best_p = 0, -1.0

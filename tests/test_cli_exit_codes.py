@@ -11,6 +11,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +85,29 @@ def test_exit_code_is_0_1_or_2(invocation):
             code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--qubits=2000", "--target=0", "--iterations=1", "--out=OUT"],
+        ["analytic", f"--n={2**1100}"],
+        ["analytic", f"--n={2**1100}", "--iterations=1"],
+        ["analytic", f"--n={2**1100}", "--variant=1", "--pc=0.5", "--pq=0.5"],
+        ["analytic", f"--n={2**21}"],
+        ["game", "--variant=1", "--qubits=3", "--pc=0.5", "--pq=0.5", "--seed=1",
+         f"--trials={10**13}"],
+    ],
+    ids=["trace", "analytic-optimal", "analytic-probability", "analytic-expected",
+         "analytic-2**21", "game-trials"],
+)
+def test_oversized_inputs_exit_1(argv, tmp_path, capsys):
+    """Sizes past the register or memory limits are refused, not computed.
+
+    numpy refuses the 10**13-turn draw at once, so nothing is allocated.
+    """
+    argv = [arg.replace("OUT", str(tmp_path / "x.csv")) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -78,9 +78,10 @@ class TestConfig:
                 classic_strategy=ClassicStrategy.SWEEP,
             )
 
-    def test_negative_register_rejected(self):
+    @pytest.mark.parametrize("n_qubits", [-1, 21])
+    def test_negative_register_rejected(self, n_qubits):
         with pytest.raises(SizeError):
-            GameConfig(-1, GameVariant.GAME1)
+            GameConfig(n_qubits, GameVariant.GAME1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -162,8 +163,8 @@ class TestRunMatch:
     def test_oversized_register_fails_before_drawing(self):
         # 21 qubits is past MAX_QUBITS; the register is checked before any
         # draw or state vector.
-        cfg = GameConfig(21, GameVariant.GAME2, trials=1000)
         with pytest.raises(SizeError):
+            cfg = GameConfig(21, GameVariant.GAME2, trials=1000)
             run_match(cfg, WomanProfile(0, 0.5, 0.5), rng=_NoDraws())
 
     def test_single_woman_threshold(self):
@@ -274,6 +275,11 @@ class TestStats:
     def test_d_over_t_derived(self):
         stats = GameStats(q_successes=300, c_successes=100, trials=1000)
         assert stats.d_over_t == pytest.approx(0.2)
+
+    def test_d_over_t_not_an_argument(self):
+        # A given d_over_t could disagree with the counts; it is never taken.
+        with pytest.raises(TypeError):
+            GameStats(q_successes=300, c_successes=100, trials=1000, d_over_t=5)
 
     def test_csv_row(self):
         cfg = GameConfig(3, GameVariant.GAME2, trials=1000, seed=7)

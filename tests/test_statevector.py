@@ -52,6 +52,12 @@ class TestUniformSuperposition:
         with pytest.raises(SizeError):
             uniform_superposition(-1)
 
+    @pytest.mark.parametrize("n_qubits", [-1, 21, 2000])
+    def test_basis_state_out_of_range(self, n_qubits):
+        # Refused before 2**n_qubits amplitudes are allocated.
+        with pytest.raises(SizeError):
+            basis_state(n_qubits, 0)
+
     def test_single_entry_register(self):
         # n_qubits=0 models the one-woman market.
         state = uniform_superposition(0)

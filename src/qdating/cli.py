@@ -37,7 +37,12 @@ from .game import (
     run_match,
     stats_csv_row,
 )
-from .statevector import closed_form_probability, optimal_iterations, register_qubits
+from .statevector import (
+    check_iterations,
+    closed_form_probability,
+    optimal_iterations,
+    register_qubits,
+)
 from .strategies import ClassicStrategy
 
 
@@ -159,7 +164,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         )
         print(f"expected_dt,{format_float(expected_dt(cfg, woman))}")
     elif args.iterations is not None:
-        p = closed_form_probability(args.n, args.iterations)
+        k = check_iterations(n_qubits, args.iterations)
+        p = closed_form_probability(args.n, k)
         print(f"probability,{format_float(p)}")
     else:
         print(f"optimal_iterations,{optimal_iterations(args.n)}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridShapeError
 from .game import GameConfig, GameVariant, WomanProfile, expected_dt, run_match
-from .statevector import OracleSpec, grover_states, success_probability
+from .statevector import OracleSpec, grover_amplitudes
 from .strategies import ClassicStrategy
 
 
@@ -68,25 +68,23 @@ def amplitude_trace(
 ) -> list[TracePoint]:
     """Exact probability/amplitude evolution for k = 0 .. max_iterations."""
     oracle = OracleSpec(target=target, n_qubits=n_qubits)
-    points = []
-    for k, state in enumerate(grover_states(n_qubits, oracle, max_iterations)):
-        p_t = success_probability(state, target)
-        others = np.delete(state.probabilities(), target)
-        p_other = float(others.mean()) if others.size else 0.0
-        points.append(
-            TracePoint(
-                iteration=k,
-                p_target=p_t,
-                p_other_each=p_other,
-                amp_target=float(state.amplitudes[target].real),
-            )
+    has_others = n_qubits > 0
+    return [
+        TracePoint(
+            iteration=k,
+            p_target=a_t * a_t,
+            p_other_each=a_r * a_r if has_others else 0.0,
+            amp_target=a_t,
         )
-    return points
+        for k, (a_t, a_r) in enumerate(
+            grover_amplitudes(n_qubits, oracle, max_iterations)
+        )
+    ]
 
 
-# Tag of the RNG engine, written into every manifest.  Bump it whenever any
-# sweep draw changes, so ``rerun`` refuses manifests it no longer reproduces.
-ENGINE = "philox-cell-3"
+# Tag of the engine, written into every manifest.  Bump it whenever any
+# output byte changes, so ``rerun`` refuses manifests it no longer reproduces.
+ENGINE = "philox-cell-4"
 
 
 def cell_rng(seed: int, i: int, j: int) -> np.random.Generator:

@@ -23,10 +23,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .statevector import (
     OracleSpec,
+    check_iterations,
     check_register,
     closed_form_probability,
-    run_grover,
-    success_probability,
+    final_amplitudes,
 )
 from .strategies import ClassicStrategy
 
@@ -75,8 +75,7 @@ class GameConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.quantum_iterations < 0:
-            raise ConfigurationError("quantum_iterations must be >= 0")
+        check_iterations(self.n_qubits, self.quantum_iterations)
         if self.classic_attempts_per_turn is None:
             default = 1 if self.variant == GameVariant.GAME1 else self.N // 2
             object.__setattr__(self, "classic_attempts_per_turn", default)
@@ -117,7 +116,7 @@ def run_match(
     A turn depends only on how many of each player's proposals hit the
     woman's index.  C's k attempts hit Binomial(k, 1/N) times (memoryless)
     or, without replacement, once with probability k/N (sweep); Q's one
-    measurement hits with the state vector's target probability p_G.  Every
+    measurement hits with the Grover kernel's target probability p_G.  Every
     hit gets its own acceptance draw, so a player succeeds in a turn when
     Binomial(hits, p_accept) > 0.  Memory is O(T); results are a pure
     function of (config, profile, rng stream).
@@ -133,8 +132,8 @@ def run_match(
         c_hits = rng.random(T) < k / N
     else:
         c_hits = rng.binomial(k, 1 / N, T)
-    state = run_grover(cfg.n_qubits, oracle, cfg.quantum_iterations)
-    q_hits = rng.random(T) < success_probability(state, woman.target)
+    a_t, _ = final_amplitudes(cfg.n_qubits, oracle, cfg.quantum_iterations)
+    q_hits = rng.random(T) < a_t * a_t
 
     p_accept = [[woman.p_accept_classic], [woman.p_accept_quantum]]
     accepted = rng.binomial(np.stack([c_hits, q_hits]), p_accept) > 0

@@ -1,10 +1,15 @@
-"""Exact complex state-vector simulation of the Grover iterate.
+"""Exact state-vector simulation of the Grover iterate.
 
 The register holds ``N = 2**n_qubits`` complex amplitudes.  One Grover
 iterate is an oracle phase flip on the marked index followed by the
-diffusion step (inversion about the mean).  A dense-matrix pipeline for
-small registers and the closed-form rotation formula are provided as
-independent cross-checks of the fast path.
+diffusion step (inversion about the mean); ``apply_oracle``,
+``apply_diffusion`` and ``grover_iterate`` apply them literally, one step
+on the whole vector.  From the uniform start with one marked index the
+state keeps two distinct amplitudes, so ``grover_amplitudes`` runs the
+iterate on that pair in O(1) per step, and ``run_grover`` builds the
+vector once at the end.  A dense-matrix pipeline for small registers and
+the closed-form rotation formula are provided as independent cross-checks
+of that kernel.
 
 ``n_qubits = 0`` (a single-entry register, N = 1) is accepted so the game
 layer can model the one-woman market; the iterate is then a global phase.
@@ -204,14 +209,8 @@ def iteration_bound(n_qubits: int) -> int:
     return int(10 * math.sqrt(2**n_qubits))
 
 
-def grover_states(
-    n_qubits: int, oracle: OracleSpec, iterations: int
-) -> Iterator[QuantumState]:
-    """The uniform start, then the state after each of ``iterations`` iterates."""
-    if oracle.n_qubits != n_qubits:
-        raise DimensionError(
-            f"oracle expects {oracle.n_qubits} qubits, asked to run {n_qubits}"
-        )
+def check_iterations(n_qubits: int, iterations: int) -> int:
+    """The one iterate-count rule: ``0 <= iterations <= iteration_bound``."""
     if iterations < 0:
         raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
     if iterations > iteration_bound(n_qubits):
@@ -219,18 +218,49 @@ def grover_states(
             f"{iterations} iterations exceeds the 10*sqrt(N) bound "
             f"({iteration_bound(n_qubits)}) for {n_qubits} qubits"
         )
-    state = uniform_superposition(n_qubits)
-    yield state
+    return iterations
+
+
+def grover_amplitudes(
+    n_qubits: int, oracle: OracleSpec, iterations: int
+) -> Iterator[tuple[float, float]]:
+    """(target, each other) amplitude at the uniform start and after each iterate.
+
+    From the uniform start with one marked index every other amplitude
+    stays equal and real (Grover 1996), so one iterate costs O(1) whatever
+    N is.  When N = 1 there is no other index and the second value is not
+    an amplitude.
+    """
+    if oracle.n_qubits != n_qubits:
+        raise DimensionError(
+            f"oracle expects {oracle.n_qubits} qubits, asked to run {n_qubits}"
+        )
+    check_iterations(n_qubits, iterations)
+    N = 2**n_qubits
+    a_t = a_r = 1.0 / math.sqrt(N)
+    yield a_t, a_r
     for _ in range(iterations):
-        state = grover_iterate(state, oracle)
-        yield state
+        # Oracle flips a_t; diffusion maps every a_i to 2*mean - a_i.
+        mean = (-a_t + (N - 1) * a_r) / N
+        a_t, a_r = 2.0 * mean + a_t, 2.0 * mean - a_r
+        yield a_t, a_r
+
+
+def final_amplitudes(
+    n_qubits: int, oracle: OracleSpec, iterations: int
+) -> tuple[float, float]:
+    """The last pair of ``grover_amplitudes``."""
+    for pair in grover_amplitudes(n_qubits, oracle, iterations):
+        pass
+    return pair
 
 
 def run_grover(n_qubits: int, oracle: OracleSpec, iterations: int) -> QuantumState:
     """Uniform start followed by ``iterations`` Grover iterates."""
-    for state in grover_states(n_qubits, oracle, iterations):
-        pass
-    return state
+    a_t, a_r = final_amplitudes(n_qubits, oracle, iterations)
+    amps = np.full(2**n_qubits, a_r, dtype=np.complex128)
+    amps[oracle.target] = a_t
+    return QuantumState(n_qubits, amps)
 
 
 def success_probability(state: QuantumState, target: int) -> float:
@@ -256,7 +286,8 @@ def measure(state: QuantumState, rng: np.random.Generator) -> int:
 def closed_form_probability(N: int, iterations: int) -> float:
     """Rotation-angle formula ``sin^2((2k+1) * arcsin(1/sqrt(N)))``.
 
-    Independent of the state-vector path; used as its verification oracle.
+    Independent of the state-vector path; used as its verification oracle,
+    so it takes any k >= 0, past the iterate bound of ``check_iterations``.
     """
     register_qubits(N)
     if iterations < 0:

@@ -352,7 +352,7 @@ class TestManifestRoundTrip:
             lines = [f"engine={ENGINE}-other" if line.startswith("engine=") else line
                      for line in lines]
         elif case == "previous_engine":
-            lines = ["engine=philox-cell-2" if line.startswith("engine=") else line
+            lines = ["engine=philox-cell-3" if line.startswith("engine=") else line
                      for line in lines]
         elif case == "self_rerun":
             lines = ["command=rerun", f"engine={ENGINE}", f"manifest={manifest}"]

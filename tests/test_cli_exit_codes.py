@@ -1,8 +1,10 @@
 """Every argv the CLI accepts ends with exit code 0, 1 or 2, never a traceback.
 
 Sizes are bounded by arithmetic, not by trust in the validators: at most
-8 qubits (N = 256), 200 trials, a 5 x 5 grid and 50 iterates, so the
-largest draw any example can start is 200 turns per player per cell.
+21 qubits, 200 trials, a 5 x 5 grid and 2000 iterates.  No command builds
+an amplitude vector and the Grover kernel costs O(1) per iterate, so the
+whole register is cheap; the largest draw any example can start is 200
+turns per player per cell.
 """
 
 import contextlib
@@ -17,10 +19,10 @@ from hypothesis import strategies as st
 
 from qdating.cli import main
 
-QUBITS = st.integers(-2, 8)
+QUBITS = st.integers(-2, 21)
 TRIALS = st.integers(-2, 200)
 GRID = st.integers(-1, 5)
-ITERATIONS = st.integers(-2, 50)
+ITERATIONS = st.integers(-2, 2000)
 SEEDS = st.integers(-2, 2**64 - 1)
 INDICES = st.integers(-2, 300)
 PROBABILITIES = st.one_of(
@@ -95,11 +97,15 @@ def test_exit_code_is_0_1_or_2(invocation):
         ["analytic", f"--n={2**1100}", "--iterations=1"],
         ["analytic", f"--n={2**1100}", "--variant=1", "--pc=0.5", "--pq=0.5"],
         ["analytic", f"--n={2**21}"],
+        ["analytic", "--n=8", f"--iterations=1{'0' * 400}"],
+        ["analytic", "--n=8", "--variant=1", "--pc=0.5", "--pq=0.5",
+         f"--grover-iterations=1{'0' * 400}"],
         ["game", "--variant=1", "--qubits=3", "--pc=0.5", "--pq=0.5", "--seed=1",
          f"--trials={10**13}"],
     ],
     ids=["trace", "analytic-optimal", "analytic-probability", "analytic-expected",
-         "analytic-2**21", "game-trials"],
+         "analytic-2**21", "analytic-iterations", "analytic-grover-iterations",
+         "game-trials"],
 )
 def test_oversized_inputs_exit_1(argv, tmp_path, capsys):
     """Sizes past the register or memory limits are refused, not computed.

@@ -87,6 +87,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             GameConfig(3, GameVariant.GAME1, seed=-1)
 
+    @pytest.mark.parametrize("iterations", [-1, 29])
+    def test_iterations_outside_bound_rejected(self, iterations):
+        # 10*sqrt(8) = 28.3: refused at construction, before any cell runs.
+        with pytest.raises(ConfigurationError):
+            GameConfig(3, GameVariant.GAME1, quantum_iterations=iterations)
+
     def test_probabilities_validated(self):
         with pytest.raises(ConfigurationError):
             WomanProfile(0, 1.2, 0.5)
@@ -258,7 +264,7 @@ class TestRunMatch:
 
     def test_largest_register_draws_per_turn_not_per_proposal(self):
         # Game 2 at 20 qubits makes 2^19 classic proposals per turn; the
-        # engine draws per turn, so memory stays that of the state vector.
+        # engine draws per turn and builds no state vector, so memory is O(T).
         cfg = GameConfig(20, GameVariant.GAME2, trials=1000, seed=1)
         tracemalloc.start()
         try:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from qdating import (
     DimensionError,
     FeatureTable,
     FeatureNotFoundError,
+    GameConfig,
+    GameVariant,
     MalformedTableError,
     OracleSpec,
     QuantumState,
     SizeError,
     StateError,
+    WomanProfile,
+    amplitude_trace,
     apply_diffusion,
     apply_oracle,
     build_oracle,
@@ -24,10 +29,16 @@ from qdating import (
     optimal_iterations,
     run_grover,
     run_grover_dense,
+    run_match,
     success_probability,
     uniform_superposition,
 )
-from qdating.statevector import basis_state
+from qdating.statevector import (
+    MAX_QUBITS,
+    basis_state,
+    grover_amplitudes,
+    iteration_bound,
+)
 
 TABLE1 = FeatureTable({0: "a", 1: "b", 2: "c", 3: "d"})
 
@@ -372,3 +383,69 @@ class TestInvariants:
     def test_amplitudes_length_fixed(self):
         with pytest.raises(DimensionError):
             QuantumState(2, [1.0, 0.0])
+
+
+class TestGroverKernel:
+    def test_agrees_with_closed_form_over_whole_register(self):
+        for n_qubits in range(MAX_QUBITS + 1):
+            N = 2**n_qubits
+            oracle = OracleSpec(N - 1, n_qubits)
+            pairs = grover_amplitudes(n_qubits, oracle, iteration_bound(n_qubits))
+            for k, (a_t, _) in enumerate(pairs):
+                assert abs(a_t * a_t - closed_form_probability(N, k)) < 1e-10, (
+                    n_qubits, k,
+                )
+
+    @pytest.mark.parametrize("n_qubits", range(13))
+    def test_run_grover_matches_literal_iterates(self, n_qubits):
+        rng = np.random.default_rng(200 + n_qubits)
+        for target in rng.integers(0, 2**n_qubits, size=2):
+            oracle = OracleSpec(int(target), n_qubits)
+            state = uniform_superposition(n_qubits)
+            for k in range(min(60, iteration_bound(n_qubits)) + 1):
+                if k > 0:
+                    state = grover_iterate(state, oracle)
+                np.testing.assert_allclose(
+                    run_grover(n_qubits, oracle, k).amplitudes,
+                    state.amplitudes,
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    @pytest.mark.parametrize(
+        "n_qubits, iterations", [(0, 3), (1, 1), (3, 1), (3, 2), (10, 25), (20, 804)]
+    )
+    def test_run_match_uses_run_grover_probability(self, n_qubits, iterations):
+        # Q's hit test is ``u < p_G``: uniforms just below and at the
+        # state-vector probability give exactly one hit iff p_G equals it.
+        target = 2**n_qubits - 1
+        oracle = OracleSpec(target, n_qubits)
+        p = success_probability(run_grover(n_qubits, oracle, iterations), target)
+
+        class FixedUniforms:
+            binomial = np.random.default_rng(0).binomial
+
+            def random(self, size):
+                return np.array([np.nextafter(p, 0.0), p])
+
+        cfg = GameConfig(
+            n_qubits, GameVariant.GAME1, trials=2, quantum_iterations=iterations
+        )
+        stats = run_match(cfg, WomanProfile(target, 0.0, 1.0), rng=FixedUniforms())
+        assert stats.q_successes == 1
+
+    def test_trace_of_largest_register_holds_no_vector(self):
+        # A 2^20-entry complex vector is 16 MiB.
+        tracemalloc.start()
+        try:
+            points = amplitude_trace(MAX_QUBITS, 12345, 804)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 805
+        assert points[-1].p_target > 0.9999
+        assert peak < 2**20
+
+    def test_oracle_of_another_size_rejected(self):
+        with pytest.raises(DimensionError):
+            run_grover(3, OracleSpec(0, 2), 1)

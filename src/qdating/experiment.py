@@ -84,7 +84,7 @@ def amplitude_trace(
 
 # Tag of the engine, written into every manifest.  Bump it whenever any
 # output byte changes, so ``rerun`` refuses manifests it no longer reproduces.
-ENGINE = "philox-cell-4"
+ENGINE = "philox-cell-5"
 
 
 def cell_rng(seed: int, i: int, j: int) -> np.random.Generator:

@@ -73,8 +73,8 @@ class GameConfig:
         check_register(self.n_qubits)
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials < 2**63:  # the n that numpy's binomial takes
+            raise ConfigurationError(f"trials must be in [1, 2**63), got {self.trials}")
         check_iterations(self.n_qubits, self.quantum_iterations)
         if self.classic_attempts_per_turn is None:
             default = 1 if self.variant == GameVariant.GAME1 else self.N // 2
@@ -108,58 +108,56 @@ class GameStats:
         return (self.q_successes - self.c_successes) / self.trials
 
 
+def turn_rates(
+    cfg: GameConfig, woman: WomanProfile, p_find: float
+) -> tuple[float, float]:
+    """Per-turn success rates ``(q, c)`` of Q and C.
+
+    ``q = p_find * P_q``.  Every hit of C's k attempts gets its own
+    acceptance draw, so ``c = 1 - (1 - P_c/N)**k`` (memoryless); without
+    replacement at most one hits, so ``c = (k/N) * P_c`` (sweep).
+    """
+    k = cfg.classic_attempts_per_turn
+    if cfg.classic_strategy == ClassicStrategy.SWEEP:
+        c = (k / cfg.N) * woman.p_accept_classic
+    else:
+        c = 1.0 - (1.0 - woman.p_accept_classic / cfg.N) ** k
+    return p_find * woman.p_accept_quantum, c
+
+
 def run_match(
     cfg: GameConfig, woman: WomanProfile, rng: np.random.Generator | None = None
 ) -> GameStats:
     """Play ``cfg.trials`` independent turns and tally both players.
 
-    A turn depends only on how many of each player's proposals hit the
-    woman's index.  C's k attempts hit Binomial(k, 1/N) times (memoryless)
-    or, without replacement, once with probability k/N (sweep); Q's one
-    measurement hits with the Grover kernel's target probability p_G.  Every
-    hit gets its own acceptance draw, so a player succeeds in a turn when
-    Binomial(hits, p_accept) > 0.  Memory is O(T); results are a pure
+    Turns are independent, so each player's tally is one binomial draw of T
+    turns at its ``turn_rates``.  Q's find probability is the Grover
+    kernel's a_t**2, not the closed form, so ``expected_dt`` still judges
+    it.  Memory and cost do not grow with T or N; results are a pure
     function of (config, profile, rng stream).
     """
     # Checks the target before any draw; GameConfig checked the register.
     oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    N, T = cfg.N, cfg.trials
-    k = cfg.classic_attempts_per_turn
-
-    if cfg.classic_strategy == ClassicStrategy.SWEEP:
-        c_hits = rng.random(T) < k / N
-    else:
-        c_hits = rng.binomial(k, 1 / N, T)
     a_t, _ = final_amplitudes(cfg.n_qubits, oracle, cfg.quantum_iterations)
-    q_hits = rng.random(T) < a_t * a_t
-
-    p_accept = [[woman.p_accept_classic], [woman.p_accept_quantum]]
-    accepted = rng.binomial(np.stack([c_hits, q_hits]), p_accept) > 0
-    c_successes, q_successes = accepted.sum(axis=1)
+    q, c = turn_rates(cfg, woman, a_t * a_t)
+    c_successes, q_successes = rng.binomial(cfg.trials, [c, q])
     return GameStats(
-        q_successes=int(q_successes), c_successes=int(c_successes), trials=T
+        q_successes=int(q_successes), c_successes=int(c_successes), trials=cfg.trials
     )
 
 
 def expected_dt(cfg: GameConfig, woman: WomanProfile) -> float:
     """Analytic expectation of d_over_t; the Monte Carlo engine's oracle.
 
-    Per turn, Q succeeds with probability ``p_G * P_q`` where p_G is the
-    closed-form find probability after the configured iterates.  C's find
-    chance over k attempts is ``1 - (1 - P_c/N)**k`` (memoryless) or
-    ``(k/N) * P_c`` (sweep).
+    ``q - c`` of ``turn_rates`` with the closed-form find probability after
+    the configured iterates.
     """
     OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)  # checks the target
     p_g = closed_form_probability(cfg.N, cfg.quantum_iterations)
-    q_term = p_g * woman.p_accept_quantum
-    k = cfg.classic_attempts_per_turn
-    if cfg.classic_strategy == ClassicStrategy.SWEEP:
-        c_term = (k / cfg.N) * woman.p_accept_classic
-    else:
-        c_term = 1.0 - (1.0 - woman.p_accept_classic / cfg.N) ** k
-    return q_term - c_term
+    q, c = turn_rates(cfg, woman, p_g)
+    return q - c
 
 
 def stats_csv_row(cfg: GameConfig, woman: WomanProfile, stats: GameStats) -> str:

@@ -178,16 +178,17 @@ def build_oracle(table: FeatureTable, desired_feature: str) -> OracleSpec:
     return OracleSpec(target=matches[0], n_qubits=n_qubits)
 
 
-def _check_dims(state: QuantumState, oracle: OracleSpec) -> None:
-    if state.n_qubits != oracle.n_qubits:
+def _check_dims(n_qubits: int, oracle: OracleSpec) -> None:
+    """The one oracle-size rule: the oracle marks an index of this register."""
+    if n_qubits != oracle.n_qubits:
         raise DimensionError(
-            f"state has {state.n_qubits} qubits, oracle expects {oracle.n_qubits}"
+            f"register has {n_qubits} qubits, oracle expects {oracle.n_qubits}"
         )
 
 
 def apply_oracle(state: QuantumState, oracle: OracleSpec) -> QuantumState:
     """Negate the amplitude of the marked index (phase kickback)."""
-    _check_dims(state, oracle)
+    _check_dims(state.n_qubits, oracle)
     amps = state.amplitudes.copy()
     amps[oracle.target] = -amps[oracle.target]
     return QuantumState(state.n_qubits, amps)
@@ -231,10 +232,7 @@ def grover_amplitudes(
     N is.  When N = 1 there is no other index and the second value is not
     an amplitude.
     """
-    if oracle.n_qubits != n_qubits:
-        raise DimensionError(
-            f"oracle expects {oracle.n_qubits} qubits, asked to run {n_qubits}"
-        )
+    _check_dims(n_qubits, oracle)
     check_iterations(n_qubits, iterations)
     N = 2**n_qubits
     a_t = a_r = 1.0 / math.sqrt(N)
@@ -287,11 +285,12 @@ def closed_form_probability(N: int, iterations: int) -> float:
     """Rotation-angle formula ``sin^2((2k+1) * arcsin(1/sqrt(N)))``.
 
     Independent of the state-vector path; used as its verification oracle,
-    so it takes any k >= 0, past the iterate bound of ``check_iterations``.
+    so it takes k past the iterate bound of ``check_iterations``, while
+    2k+1 is still an exact float (k < 2^52).
     """
     register_qubits(N)
-    if iterations < 0:
-        raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
+    if not 0 <= iterations < 2**52:
+        raise ConfigurationError(f"iterations must be in [0, 2**52), got {iterations}")
     theta = math.asin(1.0 / math.sqrt(N))
     return math.sin((2 * iterations + 1) * theta) ** 2
 
@@ -349,8 +348,7 @@ def run_grover_dense(n_qubits: int, oracle: OracleSpec, iterations: int) -> Quan
         raise SizeError(
             f"dense pipeline capped at {DENSE_MAX_QUBITS} qubits, got {n_qubits}"
         )
-    if oracle.n_qubits != n_qubits:
-        raise DimensionError("oracle size does not match register size")
+    _check_dims(n_qubits, oracle)
     h = hadamard_matrix(n_qubits)
     iterate = h @ phase_shift_matrix(n_qubits) @ h @ oracle_matrix(oracle)
     psi = h @ basis_state(n_qubits, 0).amplitudes

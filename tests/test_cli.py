@@ -108,6 +108,19 @@ class TestGame:
         assert code == 0
         assert out.startswith("2,1048576,0.5,0.5,1000,")
 
+    def test_trials_past_any_turn_array(self, capsys):
+        # 10**13 turns would be 80 TB as one int64 per turn; two binomial
+        # draws need none.
+        code, out, _ = run_cli(
+            capsys,
+            "game", "--variant", "1", "--qubits", "3", "--pc", "0.5",
+            "--pq", "0.5", "--seed", "1", f"--trials={10**13}",
+        )
+        assert code == 0
+        row = out.strip().split(",")
+        assert row[4] == str(10**13)
+        assert 0 < int(row[5]) < 10**13 and 0 < int(row[6]) < 10**13
+
     def test_probability_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -352,7 +365,7 @@ class TestManifestRoundTrip:
             lines = [f"engine={ENGINE}-other" if line.startswith("engine=") else line
                      for line in lines]
         elif case == "previous_engine":
-            lines = ["engine=philox-cell-3" if line.startswith("engine=") else line
+            lines = ["engine=philox-cell-4" if line.startswith("engine=") else line
                      for line in lines]
         elif case == "self_rerun":
             lines = ["command=rerun", f"engine={ENGINE}", f"manifest={manifest}"]

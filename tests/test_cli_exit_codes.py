@@ -1,10 +1,10 @@
 """Every argv the CLI accepts ends with exit code 0, 1 or 2, never a traceback.
 
 Sizes are bounded by arithmetic, not by trust in the validators: at most
-21 qubits, 200 trials, a 5 x 5 grid and 2000 iterates.  No command builds
-an amplitude vector and the Grover kernel costs O(1) per iterate, so the
-whole register is cheap; the largest draw any example can start is 200
-turns per player per cell.
+21 qubits, a 5 x 5 grid and 2000 iterates.  No command builds an
+amplitude vector, the Grover kernel costs O(1) per iterate and a match is
+two binomial draws whatever its trials, so trials run up to past numpy's
+2**63 - 1 limit and every example is still cheap.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qdating.cli import main
 
 QUBITS = st.integers(-2, 21)
-TRIALS = st.integers(-2, 200)
+TRIALS = st.one_of(st.integers(-2, 200), st.integers(2**63 - 3, 2**63 + 1))
 GRID = st.integers(-1, 5)
 ITERATIONS = st.integers(-2, 2000)
 SEEDS = st.integers(-2, 2**64 - 1)
@@ -101,16 +101,16 @@ def test_exit_code_is_0_1_or_2(invocation):
         ["analytic", "--n=8", "--variant=1", "--pc=0.5", "--pq=0.5",
          f"--grover-iterations=1{'0' * 400}"],
         ["game", "--variant=1", "--qubits=3", "--pc=0.5", "--pq=0.5", "--seed=1",
-         f"--trials={10**13}"],
+         f"--trials={2**63}"],
     ],
     ids=["trace", "analytic-optimal", "analytic-probability", "analytic-expected",
          "analytic-2**21", "analytic-iterations", "analytic-grover-iterations",
          "game-trials"],
 )
 def test_oversized_inputs_exit_1(argv, tmp_path, capsys):
-    """Sizes past the register or memory limits are refused, not computed.
+    """Sizes past the register or numeric limits are refused, not computed.
 
-    numpy refuses the 10**13-turn draw at once, so nothing is allocated.
+    numpy's binomial draw takes at most 2**63 - 1 turns.
     """
     argv = [arg.replace("OUT", str(tmp_path / "x.csv")) for arg in argv]
     assert main(argv) == 1

@@ -276,6 +276,24 @@ class TestRunMatch:
         assert 0 <= stats.c_successes <= 1000
         assert peak < 128 * 2**20
 
+    def test_memory_does_not_grow_with_trials(self):
+        # One turn array of 10^12 entries would need terabytes.
+        cfg = GameConfig(20, GameVariant.GAME2, trials=10**12, seed=1)
+        tracemalloc.start()
+        try:
+            stats = run_match(cfg, WomanProfile(0, 0.5, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < stats.c_successes < 10**12
+        assert 0 < stats.q_successes < 10**12
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("trials", [0, 2**63])
+    def test_trials_outside_binomial_range_rejected(self, trials):
+        with pytest.raises(ConfigurationError):
+            GameConfig(3, GameVariant.GAME1, trials=trials)
+
 
 class TestStats:
     def test_d_over_t_derived(self):

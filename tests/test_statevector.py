@@ -273,6 +273,15 @@ class TestClosedForm:
         with pytest.raises(ConfigurationError):
             closed_form_probability(6, 1)
 
+    @pytest.mark.parametrize("iterations", [-1, 2**52, 10**400])
+    def test_rejects_iterations_past_exact_floats(self, iterations):
+        # 2k+1 past 2^53 is no longer an exact float; 10**400 overflowed.
+        with pytest.raises(ConfigurationError):
+            closed_form_probability(8, iterations)
+
+    def test_largest_exact_iterations(self):
+        assert 0.0 <= closed_form_probability(8, 2**52 - 1) <= 1.0
+
 
 class TestOptimalIterations:
     def test_n1024(self):
@@ -395,6 +404,8 @@ class TestGroverKernel:
                 assert abs(a_t * a_t - closed_form_probability(N, k)) < 1e-10, (
                     n_qubits, k,
                 )
+                # run_match draws a binomial at this rate, which needs p <= 1.
+                assert a_t * a_t <= 1.0, (n_qubits, k)
 
     @pytest.mark.parametrize("n_qubits", range(13))
     def test_run_grover_matches_literal_iterates(self, n_qubits):
@@ -416,23 +427,23 @@ class TestGroverKernel:
         "n_qubits, iterations", [(0, 3), (1, 1), (3, 1), (3, 2), (10, 25), (20, 804)]
     )
     def test_run_match_uses_run_grover_probability(self, n_qubits, iterations):
-        # Q's hit test is ``u < p_G``: uniforms just below and at the
-        # state-vector probability give exactly one hit iff p_G equals it.
+        # With P_q = 1, Q's per-turn rate is p_G itself, drawn as the second
+        # rate of run_match's one binomial call.
         target = 2**n_qubits - 1
         oracle = OracleSpec(target, n_qubits)
         p = success_probability(run_grover(n_qubits, oracle, iterations), target)
 
-        class FixedUniforms:
-            binomial = np.random.default_rng(0).binomial
-
-            def random(self, size):
-                return np.array([np.nextafter(p, 0.0), p])
+        class RecordingRng:
+            def binomial(self, n, rates):
+                self.rates = rates
+                return [0, 0]
 
         cfg = GameConfig(
             n_qubits, GameVariant.GAME1, trials=2, quantum_iterations=iterations
         )
-        stats = run_match(cfg, WomanProfile(target, 0.0, 1.0), rng=FixedUniforms())
-        assert stats.q_successes == 1
+        rng = RecordingRng()
+        run_match(cfg, WomanProfile(target, 0.0, 1.0), rng=rng)
+        assert rng.rates[1] == p
 
     def test_trace_of_largest_register_holds_no_vector(self):
         # A 2^20-entry complex vector is 16 MiB.
@@ -449,3 +460,5 @@ class TestGroverKernel:
     def test_oracle_of_another_size_rejected(self):
         with pytest.raises(DimensionError):
             run_grover(3, OracleSpec(0, 2), 1)
+        with pytest.raises(DimensionError):
+            run_grover_dense(3, OracleSpec(0, 2), 1)

@@ -38,7 +38,8 @@ for p_c, p_q in [(0.5, 0.5), (0.6, 0.2), (1.0, 0.3)]:
           f"{expected_dt(cfg, woman):>10.4f}")
 
 print("\ngame 2 break-even contour (classic starts winning above it):")
-rows = run_sweep(SweepSpec(3, GameVariant.GAME2, grid_points=21, trials_per_cell=10))
+# A sweep plays one GameConfig at every (P_c, P_q) cell of the grid.
+rows = run_sweep(SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10), grid_points=21))
 for p_q, p_c_zero in sign_boundary(rows):
     if 0.1 <= p_q <= 0.5:
         print(f"  P_q = {p_q:.2f}  ->  P_c = {p_c_zero:.3f} "

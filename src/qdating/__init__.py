@@ -15,6 +15,7 @@ from .errors import (
 )
 from .experiment import SweepRow, SweepSpec, TracePoint, amplitude_trace, run_sweep, sign_boundary
 from .game import (
+    ClassicStrategy,
     GameConfig,
     GameStats,
     GameVariant,
@@ -39,7 +40,6 @@ from .statevector import (
     uniform_superposition,
 )
 from .strategies import (
-    ClassicStrategy,
     SweepState,
     classic_memoryless_propose,
     classic_sweep_propose,

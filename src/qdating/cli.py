@@ -25,17 +25,18 @@ from .experiment import (
     format_float,
     run_sweep,
     sign_boundary,
+    stats_csv_row,
     sweep_csv,
     trace_csv,
     write_text,
 )
 from .game import (
+    ClassicStrategy,
     GameConfig,
     GameVariant,
     WomanProfile,
     expected_dt,
     run_match,
-    stats_csv_row,
 )
 from .statevector import (
     check_iterations,
@@ -43,17 +44,10 @@ from .statevector import (
     optimal_iterations,
     register_qubits,
 )
-from .strategies import ClassicStrategy
 
 
 class UsageError(Exception):
     """Structurally invalid invocation; maps to exit code 2."""
-
-
-def _resolve_seed(seed: int | None) -> int:
-    # Entropy fallback for exploratory runs; the drawn value is recorded
-    # in the manifest / output row so the run stays reproducible.
-    return secrets.randbits(63) if seed is None else seed
 
 
 # Commands that write a manifest; ``rerun`` replays no other.
@@ -104,16 +98,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_game(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = GameConfig(
+def _game_config(args: argparse.Namespace) -> GameConfig:
+    """The match that ``game`` plays once and ``sweep`` at every cell."""
+    if args.seed is None:
+        # Entropy fallback for exploratory runs; the drawn value is recorded
+        # in the manifest / output row so the run stays reproducible.
+        args.seed = secrets.randbits(63)
+    return GameConfig(
         n_qubits=args.qubits,
         variant=GameVariant(args.variant),
         trials=args.trials,
         quantum_iterations=args.grover_iterations,
         classic_strategy=ClassicStrategy(args.classic_strategy),
-        seed=seed,
+        seed=args.seed,
     )
+
+
+def cmd_game(args: argparse.Namespace) -> int:
+    cfg = _game_config(args)
     woman = WomanProfile(
         target=args.target, p_accept_classic=args.pc, p_accept_quantum=args.pq
     )
@@ -123,17 +125,9 @@ def cmd_game(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    args.seed = _resolve_seed(args.seed)
+    cfg = _game_config(args)
     try:
-        spec = SweepSpec(
-            n_qubits=args.qubits,
-            variant=GameVariant(args.variant),
-            classic_strategy=ClassicStrategy(args.classic_strategy),
-            grid_points=args.grid,
-            trials_per_cell=args.trials,
-            quantum_iterations=args.grover_iterations,
-            seed=args.seed,
-        )
+        spec = SweepSpec(cfg, args.grid)
     except ConfigurationError as exc:
         # SweepSpec checks only the grid, which is a usage error.
         raise UsageError(str(exc)) from None

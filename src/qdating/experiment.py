@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GridShapeError
-from .game import GameConfig, GameVariant, WomanProfile, expected_dt, run_match
+from .game import GameConfig, GameStats, WomanProfile, expected_dt, run_match
 from .statevector import OracleSpec, grover_amplitudes
-from .strategies import ClassicStrategy
 
 
 def format_float(x: float) -> str:
@@ -32,22 +31,23 @@ class TracePoint:
     amp_target: float
 
 
+# Largest grid side.  ``run_sweep`` keeps every row in memory, so a side of
+# 1001 (10**6 cells) bounds both its time and its memory.
+MAX_GRID_POINTS = 1001
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid sweep over acceptance probabilities (P_c outer, P_q inner)."""
+    """``config`` played at every cell of a grid over (P_c outer, P_q inner)."""
 
-    n_qubits: int
-    variant: GameVariant
-    classic_strategy: ClassicStrategy = ClassicStrategy.MEMORYLESS
+    config: GameConfig
     grid_points: int = 21
-    trials_per_cell: int = 1000
-    quantum_iterations: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid_points < 2:
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigurationError(
-                f"grid_points must be >= 2, got {self.grid_points}"
+                f"grid_points must be in [2, {MAX_GRID_POINTS}], "
+                f"got {self.grid_points}"
             )
 
     def grid(self) -> np.ndarray:
@@ -102,15 +102,7 @@ def cell_rng(seed: int, i: int, j: int) -> np.random.Generator:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One match per grid cell, rows in row-major (P_c outer) order."""
-    # One config for every cell, so a bad size, T, k or seed fails before any.
-    cfg = GameConfig(
-        n_qubits=spec.n_qubits,
-        variant=spec.variant,
-        trials=spec.trials_per_cell,
-        quantum_iterations=spec.quantum_iterations,
-        classic_strategy=spec.classic_strategy,
-        seed=spec.seed,
-    )
+    cfg = spec.config
     grid = spec.grid()
     rows = []
     for i, p_c in enumerate(grid):
@@ -118,14 +110,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             woman = WomanProfile(
                 target=0, p_accept_classic=float(p_c), p_accept_quantum=float(p_q)
             )
-            stats = run_match(cfg, woman, rng=cell_rng(spec.seed, i, j))
+            stats = run_match(cfg, woman, rng=cell_rng(cfg.seed, i, j))
             rows.append(
                 SweepRow(
                     p_c=float(p_c),
                     p_q=float(p_q),
                     d_over_t_measured=stats.d_over_t,
                     d_over_t_expected=expected_dt(cfg, woman),
-                    trials=spec.trials_per_cell,
+                    trials=cfg.trials,
                 )
             )
     return rows
@@ -202,6 +194,23 @@ def boundary_csv(points: list[tuple[float, float]]) -> str:
     for p_q, p_c_zero in points:
         lines.append(f"{format_float(p_q)},{format_float(p_c_zero)}")
     return "\n".join(lines) + "\n"
+
+
+def stats_csv_row(cfg: GameConfig, woman: WomanProfile, stats: GameStats) -> str:
+    """Flat CSV row: variant,N,Pc,Pq,T,c_success,q_success,d_over_t,seed."""
+    return ",".join(
+        [
+            str(int(cfg.variant)),
+            str(cfg.N),
+            format_float(woman.p_accept_classic),
+            format_float(woman.p_accept_quantum),
+            str(stats.trials),
+            str(stats.c_successes),
+            str(stats.q_successes),
+            format_float(stats.d_over_t),
+            str(cfg.seed),
+        ]
+    )
 
 
 def write_text(path, text: str) -> None:

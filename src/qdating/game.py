@@ -28,12 +28,18 @@ from .statevector import (
     closed_form_probability,
     final_amplitudes,
 )
-from .strategies import ClassicStrategy
 
 
 class GameVariant(enum.IntEnum):
     GAME1 = 1
     GAME2 = 2
+
+
+class ClassicStrategy(enum.Enum):
+    """C's search: uniform with replacement, or without it within a turn."""
+
+    MEMORYLESS = "memoryless"
+    SWEEP = "sweep"
 
 
 @dataclass(frozen=True)
@@ -158,23 +164,4 @@ def expected_dt(cfg: GameConfig, woman: WomanProfile) -> float:
     p_g = closed_form_probability(cfg.N, cfg.quantum_iterations)
     q, c = turn_rates(cfg, woman, p_g)
     return q - c
-
-
-def stats_csv_row(cfg: GameConfig, woman: WomanProfile, stats: GameStats) -> str:
-    """Flat CSV row: variant,N,Pc,Pq,T,c_success,q_success,d_over_t,seed."""
-    from .experiment import format_float
-
-    return ",".join(
-        [
-            str(int(cfg.variant)),
-            str(cfg.N),
-            format_float(woman.p_accept_classic),
-            format_float(woman.p_accept_quantum),
-            str(stats.trials),
-            str(stats.c_successes),
-            str(stats.q_successes),
-            format_float(stats.d_over_t),
-            str(cfg.seed),
-        ]
-    )
 

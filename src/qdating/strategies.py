@@ -1,4 +1,9 @@
-"""Proposal strategies: the one-iterate quantum searcher and two classic ones.
+"""Scalar reference proposers: the quantum searcher and two classic ones.
+
+Nothing in the engine calls them.  The tests play turns with them, one
+proposal at a time, as the reference that ``game.turn_rates`` and
+``run_match`` are judged against; ``ClassicStrategy``, which picks C's
+search, lives in ``qdating.game``.
 
 The quantum proposer re-prepares a fresh uniform state on every call and
 collapses it after the amplification steps; nothing carries over between
@@ -9,18 +14,12 @@ attempts.  The classic proposers either guess uniformly with replacement
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SweepExhaustedError
 from .statevector import OracleSpec, measure, run_grover
-
-
-class ClassicStrategy(enum.Enum):
-    MEMORYLESS = "memoryless"
-    SWEEP = "sweep"
 
 
 @dataclass

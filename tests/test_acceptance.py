@@ -169,7 +169,7 @@ def test_a6_game1_nonnegative_region():
 
 
 def test_a7_game2_boundary():
-    spec = SweepSpec(3, GameVariant.GAME2, grid_points=21, trials_per_cell=10, seed=7)
+    spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10, seed=7), grid_points=21)
     rows = run_sweep(spec)
     boundary = sign_boundary(rows)
     ratios_ok = all(

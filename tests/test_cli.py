@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qdating.cli import main, read_manifest
-from qdating.experiment import ENGINE
+from qdating.experiment import ENGINE, MAX_GRID_POINTS
 
 
 def run_cli(capsys, *argv):
@@ -194,13 +194,20 @@ class TestSweep:
             if float(p_c) <= 6.25 * float(p_q):
                 assert float(expected) >= -1e-12
 
-    def test_grid_too_small(self, tmp_path, capsys):
-        code, _, _ = run_cli(
+    @pytest.mark.parametrize(
+        "grid", [1, MAX_GRID_POINTS + 1, 100_000], ids=["1", "cap+1", "100000"]
+    )
+    def test_grid_out_of_range(self, tmp_path, capsys, grid):
+        # Refused before any cell is played, however many cells it names.
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
             capsys,
-            "sweep", "--variant", "1", "--qubits", "3", "--grid", "1",
-            "--trials", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+            "sweep", "--variant", "1", "--qubits", "3", f"--grid={grid}",
+            "--trials", "10", "--seed", "1", "--out", str(out),
         )
         assert code == 2
+        assert err.startswith("usage error:") and "grid_points" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "qubits, seed, word", [("-1", "1", "n_qubits"), ("3", "-1", "seed")]

@@ -1,10 +1,13 @@
 """Every argv the CLI accepts ends with exit code 0, 1 or 2, never a traceback.
 
-Sizes are bounded by arithmetic, not by trust in the validators: at most
-21 qubits, a 5 x 5 grid and 2000 iterates.  No command builds an
-amplitude vector, the Grover kernel costs O(1) per iterate and a match is
-two binomial draws whatever its trials, so trials run up to past numpy's
-2**63 - 1 limit and every example is still cheap.
+Accepted sizes are bounded by arithmetic, not by trust in the validators:
+at most 21 qubits, 2000 iterates and a 5 x 5 grid.  Grids past
+``MAX_GRID_POINTS`` (cap + 1 to cap + 3, and 10**9 a side) are drawn too;
+that they are refused before any cell is played is what they test, and
+what keeps them cheap.  No command builds an amplitude vector, the Grover
+kernel costs O(1) per iterate and a match is two binomial draws whatever
+its trials, so trials run up to past numpy's 2**63 - 1 limit and every
+example is still cheap.
 """
 
 import contextlib
@@ -18,10 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdating.cli import main
+from qdating.experiment import MAX_GRID_POINTS
 
 QUBITS = st.integers(-2, 21)
 TRIALS = st.one_of(st.integers(-2, 200), st.integers(2**63 - 3, 2**63 + 1))
-GRID = st.integers(-1, 5)
+GRID = st.one_of(
+    st.integers(-1, 5),
+    st.integers(MAX_GRID_POINTS + 1, MAX_GRID_POINTS + 3),
+    st.just(10**9),
+)
 ITERATIONS = st.integers(-2, 2000)
 SEEDS = st.integers(-2, 2**64 - 1)
 INDICES = st.integers(-2, 300)

@@ -6,16 +6,21 @@ import pytest
 from qdating import (
     ClassicStrategy,
     ConfigurationError,
+    GameConfig,
     GameVariant,
     GridShapeError,
     SweepRow,
     SweepSpec,
+    WomanProfile,
     amplitude_trace,
     closed_form_probability,
+    expected_dt,
+    run_match,
     run_sweep,
     sign_boundary,
 )
 from qdating.experiment import (
+    MAX_GRID_POINTS,
     boundary_csv,
     cell_rng,
     format_float,
@@ -81,9 +86,19 @@ class TestCellRng:
         )
 
 
+class TestSweepSpec:
+    def test_grid_bounds(self):
+        cfg = GameConfig(3, GameVariant.GAME1)
+        assert SweepSpec(cfg, MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+        assert len(SweepSpec(cfg, 2).grid()) == 2
+        for grid_points in (1, MAX_GRID_POINTS + 1):
+            with pytest.raises(ConfigurationError, match="grid_points"):
+                SweepSpec(cfg, grid_points)
+
+
 class TestRunSweep:
     def test_row_major_order_and_count(self):
-        spec = SweepSpec(2, GameVariant.GAME1, grid_points=5, trials_per_cell=50)
+        spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=50), grid_points=5)
         rows = run_sweep(spec)
         assert len(rows) == 25
         grid = list(np.linspace(0, 1, 5))
@@ -92,34 +107,58 @@ class TestRunSweep:
         ]
 
     def test_expected_column_game1(self):
-        spec = SweepSpec(3, GameVariant.GAME1, grid_points=21, trials_per_cell=10)
+        spec = SweepSpec(GameConfig(3, GameVariant.GAME1, trials=10), grid_points=21)
         for row in run_sweep(spec):
             expected = 25 / 32 * row.p_q - row.p_c / 8
             assert row.d_over_t_expected == pytest.approx(expected, abs=1e-12)
 
     def test_game2_negative_when_classic_heavily_preferred(self):
-        spec = SweepSpec(3, GameVariant.GAME2, grid_points=21, trials_per_cell=10)
+        spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10), grid_points=21)
         for row in run_sweep(spec):
             if row.p_c >= 2.5 * row.p_q + 0.1:
                 assert row.d_over_t_expected < 0
 
     def test_byte_identical_reproduction(self):
-        spec = SweepSpec(3, GameVariant.GAME2, grid_points=6, trials_per_cell=200, seed=5)
+        spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=200, seed=5), grid_points=6)
         assert sweep_csv(run_sweep(spec)) == sweep_csv(run_sweep(spec))
 
     def test_measured_tracks_expected(self):
         trials = 20_000
         spec = SweepSpec(
-            3, GameVariant.GAME1, grid_points=4, trials_per_cell=trials, seed=2
+            GameConfig(3, GameVariant.GAME1, trials=trials, seed=2), grid_points=4
         )
         tol = 4 * math.sqrt(0.5 / trials)
         for row in run_sweep(spec):
             assert abs(row.d_over_t_measured - row.d_over_t_expected) < tol
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_plays_the_config_as_given(self, k):
+        # Every field off its default, so a sweep that rebuilt the config
+        # from some of them would change a column.  At k = 1 the sweep and
+        # memoryless rates are both P_c/N; k = 3 tells them apart.
+        cfg = GameConfig(
+            3,
+            GameVariant.GAME2,
+            trials=30,
+            classic_attempts_per_turn=k,
+            quantum_iterations=2,
+            classic_strategy=ClassicStrategy.SWEEP,
+            seed=11,
+        )
+        rows = run_sweep(SweepSpec(cfg, grid_points=3))
+        grid = np.linspace(0, 1, 3)
+        cells = [(i, j) for i in range(3) for j in range(3)]
+        for (i, j), row in zip(cells, rows, strict=True):
+            woman = WomanProfile(0, float(grid[i]), float(grid[j]))
+            assert row.d_over_t_expected == expected_dt(cfg, woman)
+            stats = run_match(cfg, woman, rng=cell_rng(cfg.seed, i, j))
+            assert row.d_over_t_measured == stats.d_over_t
+            assert row.trials == cfg.trials
+
 
 class TestSignBoundary:
     def test_game1_linear_boundary(self):
-        spec = SweepSpec(3, GameVariant.GAME1, grid_points=21, trials_per_cell=10)
+        spec = SweepSpec(GameConfig(3, GameVariant.GAME1, trials=10), grid_points=21)
         boundary = dict(sign_boundary(run_sweep(spec)))
         for p_q, p_c_zero in boundary.items():
             # Expected surface is linear in p_c, so interpolation is exact.
@@ -127,7 +166,7 @@ class TestSignBoundary:
         assert all(6.25 * p_q <= 1.0 + 1e-9 for p_q in boundary)
 
     def test_game2_memoryless_boundary_point(self):
-        spec = SweepSpec(3, GameVariant.GAME2, grid_points=21, trials_per_cell=10)
+        spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10), grid_points=21)
         boundary = dict(sign_boundary(run_sweep(spec)))
         p_q = min(boundary, key=lambda v: abs(v - 0.3))
         assert p_q == pytest.approx(0.3, abs=1e-12)
@@ -153,7 +192,7 @@ class TestSignBoundary:
         assert sign_boundary(rows) == []
 
     def test_non_grid_input_rejected(self):
-        spec = SweepSpec(2, GameVariant.GAME1, grid_points=4, trials_per_cell=10)
+        spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=10), grid_points=4)
         rows = run_sweep(spec)[:-1]
         with pytest.raises(GridShapeError):
             sign_boundary(rows)
@@ -173,7 +212,7 @@ class TestCsvFormat:
         assert text.endswith("\n")
 
     def test_sweep_csv_header(self):
-        spec = SweepSpec(2, GameVariant.GAME1, grid_points=2, trials_per_cell=10)
+        spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=10), grid_points=2)
         text = sweep_csv(run_sweep(spec))
         assert text.splitlines()[0] == "p_c,p_q,d_over_t,d_over_t_expected,trials"
 
@@ -184,11 +223,10 @@ class TestCsvFormat:
 class TestSweepStrategyVariant:
     def test_sweep_strategy_expected_column(self):
         spec = SweepSpec(
-            3,
-            GameVariant.GAME2,
-            classic_strategy=ClassicStrategy.SWEEP,
+            GameConfig(
+                3, GameVariant.GAME2, trials=10, classic_strategy=ClassicStrategy.SWEEP
+            ),
             grid_points=5,
-            trials_per_cell=10,
         )
         for row in run_sweep(spec):
             assert row.d_over_t_expected == pytest.approx(

@@ -21,7 +21,7 @@ from qdating import (
     quantum_propose,
     run_match,
 )
-from qdating.game import stats_csv_row
+from qdating.experiment import stats_csv_row
 
 
 def mc_tolerance(trials: int) -> float:

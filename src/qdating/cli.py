@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import secrets
 import sys
 
@@ -131,6 +132,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         # SweepSpec checks only the grid, which is a usage error.
         raise UsageError(str(exc)) from None
+    written = {os.path.abspath(args.out), os.path.abspath(args.out + ".manifest")}
+    if args.boundary_out and os.path.abspath(args.boundary_out) in written:
+        raise UsageError("--boundary-out would be overwritten by --out or its manifest")
     rows = run_sweep(spec)
     text = sweep_csv(rows)
     # The boundary file goes first, so a bad --boundary-out leaves no
@@ -144,9 +148,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     n_qubits = register_qubits(args.n)
-    if args.pc is not None or args.pq is not None:
+    if args.variant is not None or args.pc is not None or args.pq is not None:
         if args.pc is None or args.pq is None or args.variant is None:
             raise UsageError("expected-d/t mode needs --variant, --pc and --pq")
+        if args.iterations is not None:
+            raise UsageError(
+                "expected-d/t mode takes Q's iterates as --grover-iterations, "
+                "not --iterations"
+            )
         cfg = GameConfig(
             n_qubits=n_qubits,
             variant=GameVariant(args.variant),
@@ -186,6 +195,15 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     return main(argv)
 
 
+def _add_search_options(p: argparse.ArgumentParser) -> None:
+    """C's strategy and Q's iterates, with ``GameConfig``'s defaults."""
+    strategies = [strategy.value for strategy in ClassicStrategy]
+    default = GameConfig.classic_strategy.value
+    p.add_argument("--classic-strategy", choices=strategies, default=default)
+    iterations = GameConfig.quantum_iterations
+    p.add_argument("--grover-iterations", type=int, default=iterations)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdating",
@@ -193,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = [int(variant) for variant in GameVariant]
 
     p = sub.add_parser("trace", help="exact probability evolution CSV")
     p.add_argument("--qubits", type=int, required=True)
@@ -202,29 +221,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("game", help="one match, stats row on stdout")
-    p.add_argument("--variant", type=int, choices=(1, 2), required=True)
+    p.add_argument("--variant", type=int, choices=variants, required=True)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--pc", type=float, required=True)
     p.add_argument("--pq", type=float, required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=GameConfig.trials)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--target", type=int, default=0)
-    p.add_argument(
-        "--classic-strategy", choices=("memoryless", "sweep"), default="memoryless"
-    )
-    p.add_argument("--grover-iterations", type=int, default=1)
+    _add_search_options(p)
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("sweep", help="(P_c, P_q) grid of matches to CSV")
-    p.add_argument("--variant", type=int, choices=(1, 2), required=True)
+    p.add_argument("--variant", type=int, choices=variants, required=True)
     p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--grid", type=int, default=SweepSpec.grid_points)
+    p.add_argument("--trials", type=int, default=GameConfig.trials)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--classic-strategy", choices=("memoryless", "sweep"), default="memoryless"
-    )
-    p.add_argument("--grover-iterations", type=int, default=1)
+    _add_search_options(p)
     p.add_argument("--out", required=True)
     p.add_argument("--boundary-out", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -232,13 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="closed-form values for scripting")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--variant", type=int, choices=(1, 2), default=None)
+    p.add_argument("--variant", type=int, choices=variants, default=None)
     p.add_argument("--pc", type=float, default=None)
     p.add_argument("--pq", type=float, default=None)
-    p.add_argument(
-        "--classic-strategy", choices=("memoryless", "sweep"), default="memoryless"
-    )
-    p.add_argument("--grover-iterations", type=int, default=1)
+    _add_search_options(p)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")

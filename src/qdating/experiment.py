@@ -67,7 +67,7 @@ def amplitude_trace(
     n_qubits: int, target: int, max_iterations: int
 ) -> list[TracePoint]:
     """Exact probability/amplitude evolution for k = 0 .. max_iterations."""
-    oracle = OracleSpec(target=target, n_qubits=n_qubits)
+    OracleSpec(target=target, n_qubits=n_qubits)  # checks --target's range
     has_others = n_qubits > 0
     return [
         TracePoint(
@@ -76,9 +76,7 @@ def amplitude_trace(
             p_other_each=a_r * a_r if has_others else 0.0,
             amp_target=a_t,
         )
-        for k, (a_t, a_r) in enumerate(
-            grover_amplitudes(n_qubits, oracle, max_iterations)
-        )
+        for k, (a_t, a_r) in enumerate(grover_amplitudes(n_qubits, max_iterations))
     ]
 
 

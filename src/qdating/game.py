@@ -63,44 +63,38 @@ class WomanProfile:
 class GameConfig:
     """One match configuration.
 
-    ``classic_attempts_per_turn`` defaults to the protocol value (1 for
-    game 1, N/2 for game 2) but may be overridden for cross-checks.
+    C's attempts per turn follow from the variant and the register, so
+    ``classic_attempts_per_turn`` is read, never set.
     """
 
     n_qubits: int
     variant: GameVariant
     trials: int = 1000
-    classic_attempts_per_turn: int | None = None
     quantum_iterations: int = 1
     classic_strategy: ClassicStrategy = ClassicStrategy.MEMORYLESS
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_register(self.n_qubits)
+        if self.variant == GameVariant.GAME2 and self.n_qubits < 1:
+            raise ConfigurationError(
+                f"game 2 gives C N/2 attempts a turn, so it needs n_qubits >= 1, "
+                f"got {self.n_qubits}"
+            )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.trials < 2**63:  # the n that numpy's binomial takes
             raise ConfigurationError(f"trials must be in [1, 2**63), got {self.trials}")
         check_iterations(self.n_qubits, self.quantum_iterations)
-        if self.classic_attempts_per_turn is None:
-            default = 1 if self.variant == GameVariant.GAME1 else self.N // 2
-            object.__setattr__(self, "classic_attempts_per_turn", default)
-        if self.classic_attempts_per_turn < 1:
-            raise ConfigurationError(
-                f"classic_attempts_per_turn must be >= 1, got "
-                f"{self.classic_attempts_per_turn} (N={self.N})"
-            )
-        if (
-            self.classic_strategy == ClassicStrategy.SWEEP
-            and self.classic_attempts_per_turn > self.N
-        ):
-            raise ConfigurationError(
-                "sweep strategy cannot make more attempts than there are indices"
-            )
 
     @property
     def N(self) -> int:
         return 2**self.n_qubits
+
+    @property
+    def classic_attempts_per_turn(self) -> int:
+        """C's attempts per turn: 1 in game 1, N/2 in game 2."""
+        return 1 if self.variant == GameVariant.GAME1 else self.N // 2
 
 
 @dataclass(frozen=True)
@@ -117,12 +111,13 @@ class GameStats:
 def turn_rates(
     cfg: GameConfig, woman: WomanProfile, p_find: float
 ) -> tuple[float, float]:
-    """Per-turn success rates ``(q, c)`` of Q and C.
+    """Per-turn success rates ``(q, c)`` of Q and C; checks the woman's target.
 
     ``q = p_find * P_q``.  Every hit of C's k attempts gets its own
     acceptance draw, so ``c = 1 - (1 - P_c/N)**k`` (memoryless); without
     replacement at most one hits, so ``c = (k/N) * P_c`` (sweep).
     """
+    OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)  # the target rule
     k = cfg.classic_attempts_per_turn
     if cfg.classic_strategy == ClassicStrategy.SWEEP:
         c = (k / cfg.N) * woman.p_accept_classic
@@ -142,12 +137,10 @@ def run_match(
     it.  Memory and cost do not grow with T or N; results are a pure
     function of (config, profile, rng stream).
     """
-    # Checks the target before any draw; GameConfig checked the register.
-    oracle = OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)
+    a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
+    q, c = turn_rates(cfg, woman, a_t * a_t)  # checks the target before any draw
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    a_t, _ = final_amplitudes(cfg.n_qubits, oracle, cfg.quantum_iterations)
-    q, c = turn_rates(cfg, woman, a_t * a_t)
     c_successes, q_successes = rng.binomial(cfg.trials, [c, q])
     return GameStats(
         q_successes=int(q_successes), c_successes=int(c_successes), trials=cfg.trials
@@ -160,7 +153,6 @@ def expected_dt(cfg: GameConfig, woman: WomanProfile) -> float:
     ``q - c`` of ``turn_rates`` with the closed-form find probability after
     the configured iterates.
     """
-    OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)  # checks the target
     p_g = closed_form_probability(cfg.N, cfg.quantum_iterations)
     q, c = turn_rates(cfg, woman, p_g)
     return q - c

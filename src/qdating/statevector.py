@@ -5,11 +5,12 @@ iterate is an oracle phase flip on the marked index followed by the
 diffusion step (inversion about the mean); ``apply_oracle``,
 ``apply_diffusion`` and ``grover_iterate`` apply them literally, one step
 on the whole vector.  From the uniform start with one marked index the
-state keeps two distinct amplitudes, so ``grover_amplitudes`` runs the
-iterate on that pair in O(1) per step, and ``run_grover`` builds the
-vector once at the end.  A dense-matrix pipeline for small registers and
-the closed-form rotation formula are provided as independent cross-checks
-of that kernel.
+state keeps two distinct amplitudes whatever index is marked, so
+``grover_amplitudes(n_qubits, iterations)`` runs the iterate on that pair
+in O(1) per step with no oracle, and ``run_grover`` builds the vector once
+at the end, placing the oracle's target.  A dense-matrix pipeline for
+small registers and the closed-form rotation formula are provided as
+independent cross-checks of that kernel.
 
 ``n_qubits = 0`` (a single-entry register, N = 1) is accepted so the game
 layer can model the one-woman market; the iterate is then a global phase.
@@ -222,19 +223,16 @@ def check_iterations(n_qubits: int, iterations: int) -> int:
     return iterations
 
 
-def grover_amplitudes(
-    n_qubits: int, oracle: OracleSpec, iterations: int
-) -> Iterator[tuple[float, float]]:
+def grover_amplitudes(n_qubits: int, iterations: int) -> Iterator[tuple[float, float]]:
     """(target, each other) amplitude at the uniform start and after each iterate.
 
     From the uniform start with one marked index every other amplitude
     stays equal and real (Grover 1996), so one iterate costs O(1) whatever
     N is.  When N = 1 there is no other index and the second value is not
-    an amplitude.
+    an amplitude.  The pair does not depend on which index is marked.
     """
-    _check_dims(n_qubits, oracle)
+    N = 2 ** check_register(n_qubits)
     check_iterations(n_qubits, iterations)
-    N = 2**n_qubits
     a_t = a_r = 1.0 / math.sqrt(N)
     yield a_t, a_r
     for _ in range(iterations):
@@ -244,18 +242,17 @@ def grover_amplitudes(
         yield a_t, a_r
 
 
-def final_amplitudes(
-    n_qubits: int, oracle: OracleSpec, iterations: int
-) -> tuple[float, float]:
+def final_amplitudes(n_qubits: int, iterations: int) -> tuple[float, float]:
     """The last pair of ``grover_amplitudes``."""
-    for pair in grover_amplitudes(n_qubits, oracle, iterations):
+    for pair in grover_amplitudes(n_qubits, iterations):
         pass
     return pair
 
 
 def run_grover(n_qubits: int, oracle: OracleSpec, iterations: int) -> QuantumState:
     """Uniform start followed by ``iterations`` Grover iterates."""
-    a_t, a_r = final_amplitudes(n_qubits, oracle, iterations)
+    _check_dims(n_qubits, oracle)
+    a_t, a_r = final_amplitudes(n_qubits, iterations)
     amps = np.full(2**n_qubits, a_r, dtype=np.complex128)
     amps[oracle.target] = a_t
     return QuantumState(n_qubits, amps)

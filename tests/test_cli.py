@@ -246,6 +246,22 @@ class TestSweep:
         assert not out.exists()
         assert not (tmp_path / "x.csv.manifest").exists()
 
+    @pytest.mark.parametrize("name", ["x.csv", "x.csv.manifest"])
+    def test_boundary_out_overwritten_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # A relative --out and an absolute --boundary-out naming the same file.
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--variant", "2", "--qubits", "3", "--grid", "3",
+            "--trials", "10", "--seed", "1", "--out", "x.csv",
+            "--boundary-out", str(tmp_path / name),
+        )
+        assert code == 2
+        assert err.startswith("usage error:") and "--boundary-out" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAnalytic:
     def test_optimal_iterations(self, capsys):
@@ -277,6 +293,25 @@ class TestAnalytic:
     def test_expected_dt_needs_variant(self, capsys):
         code, _, _ = run_cli(capsys, "analytic", "--n", "8", "--pc", "0.4")
         assert code == 2
+
+    def test_variant_alone_needs_probabilities(self, capsys):
+        # --variant selects expected-d/t mode, not optimal-iterations mode.
+        code, out, err = run_cli(capsys, "analytic", "--n", "8", "--variant", "1")
+        assert code == 2
+        assert out == ""
+        assert "needs --variant, --pc and --pq" in err
+
+    def test_expected_dt_refuses_iterations(self, capsys):
+        # Q's iterates are --grover-iterations here; --iterations is the
+        # probability mode's k and would be dropped.
+        code, out, err = run_cli(
+            capsys,
+            "analytic", "--n", "8", "--iterations", "3", "--variant", "1",
+            "--pc", ".5", "--pq", ".5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and "--grover-iterations" in err
 
 
 class TestManifestRoundTrip:

@@ -131,16 +131,16 @@ class TestRunSweep:
         for row in run_sweep(spec):
             assert abs(row.d_over_t_measured - row.d_over_t_expected) < tol
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_plays_the_config_as_given(self, k):
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_plays_the_config_as_given(self, n_qubits):
         # Every field off its default, so a sweep that rebuilt the config
-        # from some of them would change a column.  At k = 1 the sweep and
-        # memoryless rates are both P_c/N; k = 3 tells them apart.
+        # from some of them would change a column.  At n_qubits = 1 C makes
+        # k = 1 attempt and the sweep and memoryless rates are both P_c/N;
+        # at n_qubits = 3, k = 4 tells them apart.
         cfg = GameConfig(
-            3,
+            n_qubits,
             GameVariant.GAME2,
             trials=30,
-            classic_attempts_per_turn=k,
             quantum_iterations=2,
             classic_strategy=ClassicStrategy.SWEEP,
             seed=11,

@@ -65,12 +65,21 @@ class TestConfig:
         assert GameConfig(3, GameVariant.GAME1).classic_attempts_per_turn == 1
         assert GameConfig(3, GameVariant.GAME2).classic_attempts_per_turn == 4
 
+    def test_attempts_follow_replace(self):
+        # The attempts are derived, so a replaced variant or register
+        # cannot carry the old count over.
+        cfg = GameConfig(3, GameVariant.GAME2)
+        assert replace(cfg, variant=GameVariant.GAME1).classic_attempts_per_turn == 1
+        assert replace(cfg, n_qubits=5).classic_attempts_per_turn == 16
+
     def test_game2_single_woman_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="game 2 .* n_qubits >= 1"):
             GameConfig(0, GameVariant.GAME2)
 
     def test_sweep_cannot_exceed_register(self):
-        with pytest.raises(ConfigurationError):
+        # C's attempts (at most N/2) are not a parameter, so no config asks
+        # the sweep for more attempts than there are indices.
+        with pytest.raises(TypeError):
             GameConfig(
                 2,
                 GameVariant.GAME2,
@@ -173,6 +182,11 @@ class TestRunMatch:
             cfg = GameConfig(21, GameVariant.GAME2, trials=1000)
             run_match(cfg, WomanProfile(0, 0.5, 0.5), rng=_NoDraws())
 
+    def test_target_fails_before_drawing(self):
+        cfg = GameConfig(3, GameVariant.GAME2, trials=1000)
+        with pytest.raises(ConfigurationError, match="target 8 out of range"):
+            run_match(cfg, WomanProfile(8, 0.5, 0.5), rng=_NoDraws())
+
     def test_single_woman_threshold(self):
         cfg = GameConfig(0, GameVariant.GAME1, trials=200_000, seed=11)
         woman = WomanProfile(0, 0.8, 0.3)
@@ -229,16 +243,17 @@ class TestRunMatch:
                 ), (variant, strategy, p_c, p_q)
 
     def test_game2_with_one_attempt_matches_game1(self):
-        trials = 100_000
-        woman = WomanProfile(4, 0.6, 0.4)
-        cfg2 = GameConfig(
-            3, GameVariant.GAME2, trials=trials, classic_attempts_per_turn=1, seed=3
-        )
-        cfg1 = replace(cfg2, variant=GameVariant.GAME1, classic_attempts_per_turn=1)
-        assert cfg1.classic_attempts_per_turn == 1
-        d2 = run_match(cfg2, woman).d_over_t
-        d1 = run_match(cfg1, woman).d_over_t
-        assert abs(d1 - d2) < 2 * mc_tolerance(trials)
+        # At N = 2 game 2 gives C N/2 = 1 attempt, as game 1 does, so the
+        # same seed plays the same match.
+        woman = WomanProfile(1, 0.6, 0.4)
+        for strategy in ClassicStrategy:
+            cfg2 = GameConfig(
+                1, GameVariant.GAME2, trials=100_000, classic_strategy=strategy, seed=3
+            )
+            cfg1 = replace(cfg2, variant=GameVariant.GAME1)
+            assert cfg1.classic_attempts_per_turn == cfg2.classic_attempts_per_turn == 1
+            assert run_match(cfg2, woman) == run_match(cfg1, woman), strategy
+            assert expected_dt(cfg2, woman) == expected_dt(cfg1, woman), strategy
 
     @pytest.mark.parametrize(
         "variant,strategy",

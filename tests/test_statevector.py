@@ -36,6 +36,7 @@ from qdating import (
 from qdating.statevector import (
     MAX_QUBITS,
     basis_state,
+    final_amplitudes,
     grover_amplitudes,
     iteration_bound,
 )
@@ -398,8 +399,7 @@ class TestGroverKernel:
     def test_agrees_with_closed_form_over_whole_register(self):
         for n_qubits in range(MAX_QUBITS + 1):
             N = 2**n_qubits
-            oracle = OracleSpec(N - 1, n_qubits)
-            pairs = grover_amplitudes(n_qubits, oracle, iteration_bound(n_qubits))
+            pairs = grover_amplitudes(n_qubits, iteration_bound(n_qubits))
             for k, (a_t, _) in enumerate(pairs):
                 assert abs(a_t * a_t - closed_form_probability(N, k)) < 1e-10, (
                     n_qubits, k,
@@ -456,6 +456,11 @@ class TestGroverKernel:
         assert len(points) == 805
         assert points[-1].p_target > 0.9999
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n_qubits", [-1, MAX_QUBITS + 1])
+    def test_kernel_checks_register(self, n_qubits):
+        with pytest.raises(SizeError):
+            final_amplitudes(n_qubits, 0)
 
     def test_oracle_of_another_size_rejected(self):
         with pytest.raises(DimensionError):

@@ -39,8 +39,8 @@ for p_c, p_q in [(0.5, 0.5), (0.6, 0.2), (1.0, 0.3)]:
 
 print("\ngame 2 break-even contour (classic starts winning above it):")
 # A sweep plays one GameConfig at every (P_c, P_q) cell of the grid.
-rows = run_sweep(SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10), grid_points=21))
-for p_q, p_c_zero in sign_boundary(rows):
+table = run_sweep(SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10), grid_points=21))
+for p_q, p_c_zero in sign_boundary(table):
     if 0.1 <= p_q <= 0.5:
         print(f"  P_q = {p_q:.2f}  ->  P_c = {p_c_zero:.3f} "
               f"(ratio {p_c_zero / p_q:.2f})")

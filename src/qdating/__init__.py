@@ -6,14 +6,13 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     FeatureNotFoundError,
-    GridShapeError,
     MalformedTableError,
     QDatingError,
     SizeError,
     StateError,
     SweepExhaustedError,
 )
-from .experiment import SweepRow, SweepSpec, TracePoint, amplitude_trace, run_sweep, sign_boundary
+from .experiment import SweepSpec, SweepTable, TracePoint, amplitude_trace, run_sweep, sign_boundary
 from .game import (
     ClassicStrategy,
     GameConfig,

@@ -135,12 +135,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     written = {os.path.abspath(args.out), os.path.abspath(args.out + ".manifest")}
     if args.boundary_out and os.path.abspath(args.boundary_out) in written:
         raise UsageError("--boundary-out would be overwritten by --out or its manifest")
-    rows = run_sweep(spec)
-    text = sweep_csv(rows)
+    table = run_sweep(spec)
+    text = sweep_csv(table)
     # The boundary file goes first, so a bad --boundary-out leaves no
     # sweep CSV behind without its manifest.
     if args.boundary_out:
-        write_text(args.boundary_out, boundary_csv(sign_boundary(rows)))
+        write_text(args.boundary_out, boundary_csv(sign_boundary(table)))
     write_text(args.out, text)
     write_manifest(args)
     return 0
@@ -156,16 +156,21 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                 "expected-d/t mode takes Q's iterates as --grover-iterations, "
                 "not --iterations"
             )
-        cfg = GameConfig(
-            n_qubits=n_qubits,
-            variant=GameVariant(args.variant),
-            quantum_iterations=args.grover_iterations,
-            classic_strategy=ClassicStrategy(args.classic_strategy),
-        )
+        search = {}  # an option not given keeps GameConfig's default
+        if args.grover_iterations is not None:
+            search["quantum_iterations"] = args.grover_iterations
+        if args.classic_strategy is not None:
+            search["classic_strategy"] = ClassicStrategy(args.classic_strategy)
+        cfg = GameConfig(n_qubits=n_qubits, variant=GameVariant(args.variant), **search)
         woman = WomanProfile(
             target=0, p_accept_classic=args.pc, p_accept_quantum=args.pq
         )
         print(f"expected_dt,{format_float(expected_dt(cfg, woman))}")
+    elif args.grover_iterations is not None or args.classic_strategy is not None:
+        raise UsageError(
+            "--grover-iterations and --classic-strategy belong to "
+            "expected-d/t mode (--variant, --pc and --pq)"
+        )
     elif args.iterations is not None:
         k = check_iterations(n_qubits, args.iterations)
         p = closed_form_probability(args.n, k)
@@ -249,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc", type=float, default=None)
     p.add_argument("--pq", type=float, default=None)
     _add_search_options(p)
-    p.set_defaults(func=cmd_analytic)
+    # Unset unless given, so the modes that play no match can refuse them.
+    p.set_defaults(func=cmd_analytic, grover_iterations=None, classic_strategy=None)
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
     p.add_argument("--manifest", required=True)

@@ -31,7 +31,3 @@ class MalformedTableError(QDatingError, ValueError):
 
 class SweepExhaustedError(QDatingError, RuntimeError):
     """Without-replacement proposer has already visited every index."""
-
-
-class GridShapeError(QDatingError, ValueError):
-    """Rows passed to a grid consumer do not form a full rectangular grid."""

@@ -1,5 +1,10 @@
 """Reproduction harnesses: amplitude traces and (P_c, P_q) sweep surfaces.
 
+A sweep is a ``SweepTable`` of two G x G arrays, the measured and the
+expected D/T.  It is computed one grid row at a time: the row's rates in
+one call of ``success_rates`` and its draws in one binomial call on the
+row's own Philox stream, so rows are independent of each other.
+
 Outputs are plot-ready CSV only.  Every float is printed with 12
 significant digits and rows end with a bare newline, so a rerun with the
 same inputs is byte-identical.
@@ -11,9 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GridShapeError
-from .game import GameConfig, GameStats, WomanProfile, expected_dt, run_match
-from .statevector import OracleSpec, grover_amplitudes
+from .errors import ConfigurationError
+from .game import GameConfig, GameStats, WomanProfile, success_rates
+from .statevector import (
+    OracleSpec,
+    closed_form_probability,
+    final_amplitudes,
+    grover_amplitudes,
+)
 
 
 def format_float(x: float) -> str:
@@ -31,8 +41,9 @@ class TracePoint:
     amp_target: float
 
 
-# Largest grid side.  ``run_sweep`` keeps every row in memory, so a side of
-# 1001 (10**6 cells) bounds both its time and its memory.
+# Largest grid side.  ``run_sweep`` holds two G x G float arrays, so a side
+# of 1001 (10**6 cells) is 16 MB of table, and the CSV text of ``sweep_csv``
+# (about 38 bytes a cell) is what bounds a sweep's memory.
 MAX_GRID_POINTS = 1001
 
 
@@ -54,13 +65,17 @@ class SweepSpec:
         return np.linspace(0.0, 1.0, self.grid_points)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    p_c: float
-    p_q: float
-    d_over_t_measured: float
-    d_over_t_expected: float
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep's surfaces: cell (i, j) is P_c = grid[i], P_q = grid[j]."""
+
+    grid: np.ndarray
+    measured: np.ndarray  # G x G measured D/T
+    expected: np.ndarray  # G x G ``expected_dt``
     trials: int
+
+    def __len__(self) -> int:
+        return self.measured.size
 
 
 def amplitude_trace(
@@ -82,80 +97,65 @@ def amplitude_trace(
 
 # Tag of the engine, written into every manifest.  Bump it whenever any
 # output byte changes, so ``rerun`` refuses manifests it no longer reproduces.
-ENGINE = "philox-cell-5"
+ENGINE = "philox-row-1"
 
 
-def cell_rng(seed: int, i: int, j: int) -> np.random.Generator:
-    """Counter-based per-cell stream: cell (i, j) selects the Philox counter.
+def row_rng(seed: int, i: int) -> np.random.Generator:
+    """Counter-based stream of sweep row i: the row selects the Philox counter.
 
-    The cell sits in the two high counter words and draws advance the two
-    low ones, so no two cells' streams overlap.  Streams are independent of
-    evaluation order, so cells can be computed concurrently without
-    perturbing results.
+    The row sits in the high counter word and draws advance the low ones, so
+    no two rows' streams overlap.  Streams are independent of evaluation
+    order, so rows can be computed concurrently without perturbing results.
     """
-    return np.random.Generator(
-        np.random.Philox(key=seed % 2**128, counter=(i << 192) | (j << 128))
-    )
+    return np.random.Generator(np.random.Philox(key=seed % 2**128, counter=i << 192))
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One match per grid cell, rows in row-major (P_c outer) order."""
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """One match per grid cell, drawn a row at a time.
+
+    Q's find probability is computed once: the kernel's a_t**2 for the
+    draws, the closed form for the expected surface, as in ``run_match`` and
+    ``expected_dt``.  Row i's 2 x G binomial draw (C's then Q's successes)
+    comes from ``row_rng(seed, i)``.  The target is always index 0, which
+    every register holds.
+    """
     cfg = spec.config
     grid = spec.grid()
-    rows = []
-    for i, p_c in enumerate(grid):
-        for j, p_q in enumerate(grid):
-            woman = WomanProfile(
-                target=0, p_accept_classic=float(p_c), p_accept_quantum=float(p_q)
-            )
-            stats = run_match(cfg, woman, rng=cell_rng(cfg.seed, i, j))
-            rows.append(
-                SweepRow(
-                    p_c=float(p_c),
-                    p_q=float(p_q),
-                    d_over_t_measured=stats.d_over_t,
-                    d_over_t_expected=expected_dt(cfg, woman),
-                    trials=cfg.trials,
-                )
-            )
-    return rows
+    a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
+    p_kernel = a_t * a_t
+    p_closed = closed_form_probability(cfg.N, cfg.quantum_iterations)
+    measured = np.empty((grid.size, grid.size))
+    expected = np.empty_like(measured)
+    rates = np.empty((2, grid.size))
+    for i, p_c in enumerate(grid.tolist()):
+        q, c = success_rates(cfg, p_c, grid, p_kernel)
+        rates[0], rates[1] = c, q
+        c_successes, q_successes = row_rng(cfg.seed, i).binomial(cfg.trials, rates)
+        measured[i] = (q_successes - c_successes) / cfg.trials
+        q, c = success_rates(cfg, p_c, grid, p_closed)
+        expected[i] = q - c
+    return SweepTable(grid, measured, expected, cfg.trials)
 
 
-def _grid_axes(rows: list[SweepRow]) -> tuple[list[float], list[float]]:
-    p_cs = sorted({row.p_c for row in rows})
-    p_qs = sorted({row.p_q for row in rows})
-    if len(rows) != len(p_cs) * len(p_qs):
-        raise GridShapeError(
-            f"{len(rows)} rows do not form a {len(p_cs)}x{len(p_qs)} grid"
-        )
-    expected_order = [(pc, pq) for pc in p_cs for pq in p_qs]
-    if [(r.p_c, r.p_q) for r in rows] != expected_order:
-        raise GridShapeError("rows are not in row-major (p_c outer) grid order")
-    return p_cs, p_qs
-
-
-def sign_boundary(rows: list[SweepRow]) -> list[tuple[float, float]]:
+def sign_boundary(table: SweepTable) -> list[tuple[float, float]]:
     """D/T = 0 contour of the expected surface, one point per P_q column.
 
     For each grid P_q > 0, linearly interpolates P_c at the first sign
-    change of ``d_over_t_expected`` scanning P_c upward; columns with no
-    sign change contribute nothing.
+    change of ``expected[:, j]`` scanning P_c upward; columns with no sign
+    change contribute nothing.
     """
-    p_cs, p_qs = _grid_axes(rows)
-    by_cell = {(r.p_c, r.p_q): r.d_over_t_expected for r in rows}
+    grid = table.grid.tolist()
+    d = table.expected
+    crossing = (d[:-1] == 0.0) | ((d[:-1] > 0.0) != (d[1:] > 0.0))
     boundary = []
-    for p_q in p_qs:
-        if p_q <= 0.0:
+    for j in np.flatnonzero(crossing.any(axis=0)).tolist():
+        if grid[j] <= 0.0:
             continue
-        column = [by_cell[(p_c, p_q)] for p_c in p_cs]
-        for a, b, d_a, d_b in zip(p_cs, p_cs[1:], column, column[1:]):
-            if d_a == 0.0:
-                boundary.append((p_q, a))
-                break
-            if (d_a > 0.0) != (d_b > 0.0):
-                zero = a + (b - a) * d_a / (d_a - d_b)
-                boundary.append((p_q, zero))
-                break
+        i = int(crossing[:, j].argmax())
+        a, b = grid[i], grid[i + 1]
+        d_a, d_b = float(d[i, j]), float(d[i + 1, j])
+        zero = a if d_a == 0.0 else a + (b - a) * d_a / (d_a - d_b)
+        boundary.append((grid[j], zero))
     return boundary
 
 
@@ -176,15 +176,17 @@ def trace_csv(points: list[TracePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            f"{format_float(r.p_c)},{format_float(r.p_q)},"
-            f"{format_float(r.d_over_t_measured)},"
-            f"{format_float(r.d_over_t_expected)},{r.trials}"
-        )
-    return "\n".join(lines) + "\n"
+def sweep_csv(table: SweepTable) -> str:
+    """One line per cell, row-major; a row's lines are joined as they are made."""
+    axis = [format_float(x) for x in table.grid]
+    chunks = [SWEEP_HEADER + "\n"]
+    for p_c, measured, expected in zip(axis, table.measured, table.expected):
+        # The cell values in ``format_float``'s format.
+        chunks.append("".join(
+            f"{p_c},{p_q},{m:.12g},{e:.12g},{table.trials}\n"
+            for p_q, m, e in zip(axis, measured.tolist(), expected.tolist())
+        ))
+    return "".join(chunks)
 
 
 def boundary_csv(points: list[tuple[float, float]]) -> str:

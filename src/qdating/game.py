@@ -108,22 +108,30 @@ class GameStats:
         return (self.q_successes - self.c_successes) / self.trials
 
 
-def turn_rates(
-    cfg: GameConfig, woman: WomanProfile, p_find: float
-) -> tuple[float, float]:
-    """Per-turn success rates ``(q, c)`` of Q and C; checks the woman's target.
+def success_rates(
+    cfg: GameConfig, p_c: float, p_q: float | np.ndarray, p_find: float
+) -> tuple[float | np.ndarray, float]:
+    """Per-turn success rates ``(q, c)`` of Q and C, element-wise in ``p_q``.
 
     ``q = p_find * P_q``.  Every hit of C's k attempts gets its own
     acceptance draw, so ``c = 1 - (1 - P_c/N)**k`` (memoryless); without
-    replacement at most one hits, so ``c = (k/N) * P_c`` (sweep).
+    replacement at most one hits, so ``c = (k/N) * P_c`` (sweep).  ``p_q``
+    may be a float or an array (a sweep row); ``c`` is a float either way.
     """
-    OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)  # the target rule
     k = cfg.classic_attempts_per_turn
     if cfg.classic_strategy == ClassicStrategy.SWEEP:
-        c = (k / cfg.N) * woman.p_accept_classic
+        c = (k / cfg.N) * p_c
     else:
-        c = 1.0 - (1.0 - woman.p_accept_classic / cfg.N) ** k
-    return p_find * woman.p_accept_quantum, c
+        c = 1.0 - (1.0 - p_c / cfg.N) ** k
+    return p_find * p_q, c
+
+
+def turn_rates(
+    cfg: GameConfig, woman: WomanProfile, p_find: float
+) -> tuple[float, float]:
+    """``success_rates`` of one match; checks the woman's target."""
+    OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)  # the target rule
+    return success_rates(cfg, woman.p_accept_classic, woman.p_accept_quantum, p_find)
 
 
 def run_match(

@@ -170,8 +170,7 @@ def test_a6_game1_nonnegative_region():
 
 def test_a7_game2_boundary():
     spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10, seed=7), grid_points=21)
-    rows = run_sweep(spec)
-    boundary = sign_boundary(rows)
+    boundary = sign_boundary(run_sweep(spec))
     ratios_ok = all(
         1.5 <= p_c_zero / p_q <= 2.6
         for p_q, p_c_zero in boundary

@@ -313,6 +313,32 @@ class TestAnalytic:
         assert out == ""
         assert err.startswith("usage error:") and "--grover-iterations" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--grover-iterations", "3"],
+            ["--iterations", "1", "--classic-strategy", "sweep"],
+        ],
+        ids=["optimal-grover-iterations", "probability-classic-strategy"],
+    )
+    def test_match_options_need_expected_dt_mode(self, capsys, argv):
+        # Only expected-d/t mode plays a match; the other modes would drop
+        # these options and print a value that ignores them.
+        code, out, err = run_cli(capsys, "analytic", "--n", "8", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and "expected-d/t mode" in err
+
+    def test_expected_dt_takes_match_options(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "analytic", "--n", "8", "--variant", "2", "--pc", "0.4", "--pq", "0.2",
+            "--grover-iterations", "2", "--classic-strategy", "sweep",
+        )
+        assert code == 0
+        # p_G(k=2) = sin^2(5 asin(1/sqrt 8)) = 0.9453125; c = (4/8) * 0.4.
+        assert out.strip() == "expected_dt,-0.0109375"
+
 
 class TestManifestRoundTrip:
     def test_trace_rerun_byte_identical(self, tmp_path, capsys):
@@ -407,7 +433,7 @@ class TestManifestRoundTrip:
             lines = [f"engine={ENGINE}-other" if line.startswith("engine=") else line
                      for line in lines]
         elif case == "previous_engine":
-            lines = ["engine=philox-cell-4" if line.startswith("engine=") else line
+            lines = ["engine=philox-cell-5" if line.startswith("engine=") else line
                      for line in lines]
         elif case == "self_rerun":
             lines = ["command=rerun", f"engine={ENGINE}", f"manifest={manifest}"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,25 +9,25 @@ from qdating import (
     ConfigurationError,
     GameConfig,
     GameVariant,
-    GridShapeError,
-    SweepRow,
     SweepSpec,
+    SweepTable,
     WomanProfile,
     amplitude_trace,
     closed_form_probability,
     expected_dt,
-    run_match,
     run_sweep,
     sign_boundary,
 )
 from qdating.experiment import (
     MAX_GRID_POINTS,
     boundary_csv,
-    cell_rng,
     format_float,
+    row_rng,
     sweep_csv,
     trace_csv,
 )
+from qdating.game import turn_rates
+from qdating.statevector import final_amplitudes
 
 
 class TestAmplitudeTrace:
@@ -64,26 +65,22 @@ class TestAmplitudeTrace:
             amplitude_trace(2, 1, 100)
 
 
-class TestCellRng:
-    def test_streams_differ_by_cell(self):
-        a = cell_rng(1, 0, 0).random(4)
-        b = cell_rng(1, 0, 1).random(4)
-        c = cell_rng(1, 1, 0).random(4)
-        assert not np.allclose(a, b)
-        assert not np.allclose(a, c)
+class TestRowRng:
+    def test_streams_differ_by_row_and_seed(self):
+        a = row_rng(1, 0).random(4)
+        assert not np.allclose(a, row_rng(1, 1).random(4))
+        assert not np.allclose(a, row_rng(2, 0).random(4))
 
-    def test_neighbouring_cells_share_no_draws(self):
-        def draws(i, j):
-            return set(cell_rng(5, i, j).integers(0, 2**63, size=1024).tolist())
+    def test_neighbouring_rows_share_no_draws(self):
+        def draws(i):
+            return set(row_rng(5, i).integers(0, 2**63, size=1024).tolist())
 
-        cell = draws(2, 3)
-        assert not cell & draws(2, 4)
-        assert not cell & draws(3, 3)
+        row = draws(2)
+        assert not row & draws(1)
+        assert not row & draws(3)
 
     def test_stream_is_reproducible(self):
-        np.testing.assert_array_equal(
-            cell_rng(9, 3, 7).random(8), cell_rng(9, 3, 7).random(8)
-        )
+        np.testing.assert_array_equal(row_rng(9, 3).random(8), row_rng(9, 3).random(8))
 
 
 class TestSweepSpec:
@@ -96,27 +93,46 @@ class TestSweepSpec:
                 SweepSpec(cfg, grid_points)
 
 
+def cells(table):
+    """(i, j, P_c, P_q) of every cell of a sweep table, row-major."""
+    grid = table.grid.tolist()
+    return [(i, j, p_c, p_q) for i, p_c in enumerate(grid) for j, p_q in enumerate(grid)]
+
+
+def exact_contour(cfg, p_q):
+    """P_c where q = c, so the expected D/T is 0, in closed form."""
+    p_g = closed_form_probability(cfg.N, cfg.quantum_iterations)
+    k = cfg.classic_attempts_per_turn
+    if cfg.classic_strategy == ClassicStrategy.SWEEP or k == 1:
+        return cfg.N * p_g * p_q / k
+    return cfg.N * (1.0 - (1.0 - p_g * p_q) ** (1.0 / k))
+
+
 class TestRunSweep:
     def test_row_major_order_and_count(self):
         spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=50), grid_points=5)
-        rows = run_sweep(spec)
-        assert len(rows) == 25
-        grid = list(np.linspace(0, 1, 5))
-        assert [(r.p_c, r.p_q) for r in rows] == [
-            (pc, pq) for pc in grid for pq in grid
+        table = run_sweep(spec)
+        assert len(table) == 25
+        assert table.measured.shape == table.expected.shape == (5, 5)
+        np.testing.assert_array_equal(table.grid, np.linspace(0, 1, 5))
+        lines = sweep_csv(table).splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [
+            [format_float(pc), format_float(pq)] for _, _, pc, pq in cells(table)
         ]
 
     def test_expected_column_game1(self):
         spec = SweepSpec(GameConfig(3, GameVariant.GAME1, trials=10), grid_points=21)
-        for row in run_sweep(spec):
-            expected = 25 / 32 * row.p_q - row.p_c / 8
-            assert row.d_over_t_expected == pytest.approx(expected, abs=1e-12)
+        table = run_sweep(spec)
+        for i, j, p_c, p_q in cells(table):
+            expected = 25 / 32 * p_q - p_c / 8
+            assert table.expected[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_game2_negative_when_classic_heavily_preferred(self):
         spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10), grid_points=21)
-        for row in run_sweep(spec):
-            if row.p_c >= 2.5 * row.p_q + 0.1:
-                assert row.d_over_t_expected < 0
+        table = run_sweep(spec)
+        for i, j, p_c, p_q in cells(table):
+            if p_c >= 2.5 * p_q + 0.1:
+                assert table.expected[i, j] < 0
 
     def test_byte_identical_reproduction(self):
         spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=200, seed=5), grid_points=6)
@@ -127,9 +143,9 @@ class TestRunSweep:
         spec = SweepSpec(
             GameConfig(3, GameVariant.GAME1, trials=trials, seed=2), grid_points=4
         )
+        table = run_sweep(spec)
         tol = 4 * math.sqrt(0.5 / trials)
-        for row in run_sweep(spec):
-            assert abs(row.d_over_t_measured - row.d_over_t_expected) < tol
+        assert np.all(np.abs(table.measured - table.expected) < tol)
 
     @pytest.mark.parametrize("n_qubits", [1, 3])
     def test_plays_the_config_as_given(self, n_qubits):
@@ -145,15 +161,46 @@ class TestRunSweep:
             classic_strategy=ClassicStrategy.SWEEP,
             seed=11,
         )
-        rows = run_sweep(SweepSpec(cfg, grid_points=3))
-        grid = np.linspace(0, 1, 3)
-        cells = [(i, j) for i in range(3) for j in range(3)]
-        for (i, j), row in zip(cells, rows, strict=True):
-            woman = WomanProfile(0, float(grid[i]), float(grid[j]))
-            assert row.d_over_t_expected == expected_dt(cfg, woman)
-            stats = run_match(cfg, woman, rng=cell_rng(cfg.seed, i, j))
-            assert row.d_over_t_measured == stats.d_over_t
-            assert row.trials == cfg.trials
+        table = run_sweep(SweepSpec(cfg, grid_points=3))
+        assert table.trials == cfg.trials
+        a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
+        grid = table.grid.tolist()
+        for i, p_c in enumerate(grid):
+            women = [WomanProfile(0, p_c, p_q) for p_q in grid]
+            q, c = np.array([turn_rates(cfg, w, a_t * a_t) for w in women]).T
+            c_wins, q_wins = row_rng(cfg.seed, i).binomial(cfg.trials, [c, q])
+            np.testing.assert_array_equal(
+                table.measured[i], (q_wins - c_wins) / cfg.trials
+            )
+            assert table.expected[i].tolist() == [expected_dt(cfg, w) for w in women]
+
+    @pytest.mark.parametrize("variant", [GameVariant.GAME1, GameVariant.GAME2])
+    def test_grid_sum_z(self, variant):
+        # Rows draw from disjoint streams, so the grid sum of (measured -
+        # expected) * T has variance sum T (q(1-q) + c(1-c)); a bias too
+        # small to see in one cell shows in its z.  The fig4 / fig5 configs.
+        p_g = closed_form_probability(8, 1)
+        for seed in range(5):
+            cfg = GameConfig(3, variant, trials=1000, seed=seed)
+            table = run_sweep(SweepSpec(cfg, grid_points=21))
+            variance = 0.0
+            for _, _, p_c, p_q in cells(table):
+                q, c = turn_rates(cfg, WomanProfile(0, p_c, p_q), p_g)
+                variance += cfg.trials * (q * (1 - q) + c * (1 - c))
+            deviation = (table.measured - table.expected).sum() * cfg.trials
+            assert abs(deviation) / math.sqrt(variance) < 4.5, seed
+
+    def test_memory_at_the_grid_cap(self):
+        # Two G x G float arrays (16 MB at G = 1001) and O(G) per row.
+        spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=10), MAX_GRID_POINTS)
+        tracemalloc.start()
+        try:
+            table = run_sweep(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == MAX_GRID_POINTS**2
+        assert peak < 32 * 2**20
 
 
 class TestSignBoundary:
@@ -183,19 +230,34 @@ class TestSignBoundary:
         root = 8 * (1 - math.sqrt(7 / 8))
         assert abs(boundary[p_q] - root) < 0.05
 
-    def test_constant_sign_gives_empty_boundary(self):
-        rows = [
-            SweepRow(pc, pq, 0.1, 0.1, 10)
-            for pc in (0.0, 0.5, 1.0)
-            for pq in (0.0, 0.5, 1.0)
-        ]
-        assert sign_boundary(rows) == []
+    @pytest.mark.parametrize("grid_points", [21, 101])
+    @pytest.mark.parametrize("n_qubits", [2, 3, 5])
+    @pytest.mark.parametrize("strategy", [s.value for s in ClassicStrategy])
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_matches_exact_contour(self, variant, strategy, n_qubits, grid_points):
+        cfg = GameConfig(
+            n_qubits,
+            GameVariant(variant),
+            trials=10,
+            classic_strategy=ClassicStrategy(strategy),
+        )
+        table = run_sweep(SweepSpec(cfg, grid_points))
+        boundary = dict(sign_boundary(table))
+        linear = strategy == "sweep" or variant == 1
+        tol = 1e-9 if linear else 1.0 / (grid_points - 1)
+        for p_q, p_c_zero in boundary.items():
+            assert abs(p_c_zero - exact_contour(cfg, p_q)) < tol, p_q
+        # A column has a point exactly when its contour lies inside [0, 1].
+        for p_q in table.grid[1:].tolist():
+            if exact_contour(cfg, p_q) < 1.0 - 1e-9:
+                assert p_q in boundary
+            elif exact_contour(cfg, p_q) > 1.0 + 1e-9:
+                assert p_q not in boundary
 
-    def test_non_grid_input_rejected(self):
-        spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=10), grid_points=4)
-        rows = run_sweep(spec)[:-1]
-        with pytest.raises(GridShapeError):
-            sign_boundary(rows)
+    def test_constant_sign_gives_empty_boundary(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        table = SweepTable(grid, np.full((3, 3), 0.1), np.full((3, 3), 0.1), 10)
+        assert sign_boundary(table) == []
 
 
 class TestCsvFormat:
@@ -210,6 +272,16 @@ class TestCsvFormat:
         assert lines[0] == "iteration,p_target,p_other_each,amp_target"
         assert lines[1].startswith("0,0.125,0.125,")
         assert text.endswith("\n")
+
+    def test_sweep_csv_rows(self):
+        spec = SweepSpec(GameConfig(2, GameVariant.GAME2, trials=7, seed=3), grid_points=3)
+        table = run_sweep(spec)
+        assert sweep_csv(table).splitlines()[1:] == [
+            f"{format_float(p_c)},{format_float(p_q)},"
+            f"{format_float(table.measured[i, j])},"
+            f"{format_float(table.expected[i, j])},7"
+            for i, j, p_c, p_q in cells(table)
+        ]
 
     def test_sweep_csv_header(self):
         spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=10), grid_points=2)
@@ -228,7 +300,8 @@ class TestSweepStrategyVariant:
             ),
             grid_points=5,
         )
-        for row in run_sweep(spec):
-            assert row.d_over_t_expected == pytest.approx(
-                25 / 32 * row.p_q - row.p_c / 2, abs=1e-12
+        table = run_sweep(spec)
+        for i, j, p_c, p_q in cells(table):
+            assert table.expected[i, j] == pytest.approx(
+                25 / 32 * p_q - p_c / 2, abs=1e-12
             )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -447,3 +448,54 @@ class TestManifestRoundTrip:
         error_lines = [line for line in err.splitlines() if "error:" in line]
         assert len(error_lines) == 1
         assert err.rstrip("\n").splitlines()[-1] == error_lines[0]
+
+
+class TestGoldenBytes:
+    """The README's paper figures, byte for byte.
+
+    These digests change only together with ``ENGINE``.  The drawn
+    ``d_over_t`` column is left out of the sweep digests: it is pinned to
+    numpy's own draws by ``test_plays_the_config_as_given``.
+    """
+
+    FIG3 = "60a6c78481111af5c7048c88252a9a13d76cf80340da119cfd6a20cd3cda1cb0"
+    BOUNDARY = "6894ba998446a9f156d257484898be412797a170984d5fda3e75081a4f727b24"
+    # p_c,p_q,d_over_t_expected,trials
+    FIG4 = "f99a6ce1eb39221716f61d29f8c9a0696f6bb6a268e746095c67f03ad6809342"
+    FIG5 = "01a9ccb999ee98541ba89f63649e3170a067d6db7359d5e19385f37495c25a64"
+
+    @staticmethod
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    @staticmethod
+    def closed_form_columns(path) -> bytes:
+        lines = path.read_text().splitlines()
+        kept = [",".join(line.split(",")[i] for i in (0, 1, 3, 4)) for line in lines]
+        return ("\n".join(kept) + "\n").encode()
+
+    def test_trace(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "trace", "--qubits", "10", "--target", "7", "--iterations", "30",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert self.digest(out.read_bytes()) == self.FIG3
+
+    @pytest.mark.parametrize("variant", ["1", "2"])
+    def test_sweep(self, tmp_path, capsys, variant):
+        out = tmp_path / f"fig{int(variant) + 3}.csv"
+        bout = tmp_path / "boundary.csv"
+        boundary = ["--boundary-out", str(bout)] if variant == "2" else []
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--variant", variant, "--qubits", "3", "--grid", "21",
+            "--trials", "1000", "--seed", "1", "--out", str(out), *boundary,
+        )
+        assert code == 0
+        golden = self.FIG4 if variant == "1" else self.FIG5
+        assert self.digest(self.closed_form_columns(out)) == golden
+        if boundary:
+            assert self.digest(bout.read_bytes()) == self.BOUNDARY

@@ -132,14 +132,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         # SweepSpec checks only the grid, which is a usage error.
         raise UsageError(str(exc)) from None
-    written = {os.path.abspath(args.out), os.path.abspath(args.out + ".manifest")}
-    if args.boundary_out and os.path.abspath(args.boundary_out) in written:
+    written = {os.path.realpath(args.out), os.path.realpath(args.out + ".manifest")}
+    if args.boundary_out is not None and os.path.realpath(args.boundary_out) in written:
         raise UsageError("--boundary-out would be overwritten by --out or its manifest")
     table = run_sweep(spec)
     text = sweep_csv(table)
     # The boundary file goes first, so a bad --boundary-out leaves no
     # sweep CSV behind without its manifest.
-    if args.boundary_out:
+    if args.boundary_out is not None:
         write_text(args.boundary_out, boundary_csv(sign_boundary(table)))
     write_text(args.out, text)
     write_manifest(args)

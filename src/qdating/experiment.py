@@ -1,9 +1,10 @@
 """Reproduction harnesses: amplitude traces and (P_c, P_q) sweep surfaces.
 
 A sweep is a ``SweepTable`` of two G x G arrays, the measured and the
-expected D/T.  It is computed one grid row at a time: the row's rates in
-one call of ``success_rates`` and its draws in one binomial call on the
-row's own Philox stream, so rows are independent of each other.
+expected D/T.  C's rate depends on P_c alone and Q's on P_q alone, so a
+sweep computes one C column and one Q row; each grid row is then one
+binomial call on the row's own Philox stream, so rows are independent of
+each other.
 
 Outputs are plot-ready CSV only.  Every float is printed with 12
 significant digits and rows end with a bare newline, so a rerun with the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .game import GameConfig, GameStats, WomanProfile, success_rates
+from .game import GameConfig, GameStats, WomanProfile, classic_rate, quantum_rate
 from .statevector import (
     OracleSpec,
     closed_form_probability,
@@ -107,33 +108,32 @@ def row_rng(seed: int, i: int) -> np.random.Generator:
     no two rows' streams overlap.  Streams are independent of evaluation
     order, so rows can be computed concurrently without perturbing results.
     """
-    return np.random.Generator(np.random.Philox(key=seed % 2**128, counter=i << 192))
+    return np.random.Generator(np.random.Philox(key=seed, counter=i << 192))
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """One match per grid cell, drawn a row at a time.
 
-    Q's find probability is computed once: the kernel's a_t**2 for the
-    draws, the closed form for the expected surface, as in ``run_match`` and
-    ``expected_dt``.  Row i's 2 x G binomial draw (C's then Q's successes)
-    comes from ``row_rng(seed, i)``.  The target is always index 0, which
-    every register holds.
+    C's rate is computed once per P_c and Q's once per P_q, with Q's find
+    probability the kernel's a_t**2 for the draws and the closed form for
+    the expected surface, as in ``run_match`` and ``expected_dt``.  Row i's
+    2 x G binomial draw (C's then Q's successes) comes from
+    ``row_rng(seed, i)``.  The target is always index 0, which every
+    register holds.
     """
     cfg = spec.config
     grid = spec.grid()
+    c = [classic_rate(cfg, p_c) for p_c in grid.tolist()]
     a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
-    p_kernel = a_t * a_t
     p_closed = closed_form_probability(cfg.N, cfg.quantum_iterations)
-    measured = np.empty((grid.size, grid.size))
-    expected = np.empty_like(measured)
+    expected = quantum_rate(p_closed, grid) - np.array(c)[:, None]
+    measured = np.empty_like(expected)
     rates = np.empty((2, grid.size))
-    for i, p_c in enumerate(grid.tolist()):
-        q, c = success_rates(cfg, p_c, grid, p_kernel)
-        rates[0], rates[1] = c, q
+    rates[1] = quantum_rate(a_t * a_t, grid)
+    for i, c_i in enumerate(c):
+        rates[0] = c_i
         c_successes, q_successes = row_rng(cfg.seed, i).binomial(cfg.trials, rates)
         measured[i] = (q_successes - c_successes) / cfg.trials
-        q, c = success_rates(cfg, p_c, grid, p_closed)
-        expected[i] = q - c
     return SweepTable(grid, measured, expected, cfg.trials)
 
 

@@ -81,8 +81,8 @@ class GameConfig:
                 f"game 2 gives C N/2 attempts a turn, so it needs n_qubits >= 1, "
                 f"got {self.n_qubits}"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**128:  # the key that Philox takes
+            raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
         if not 1 <= self.trials < 2**63:  # the n that numpy's binomial takes
             raise ConfigurationError(f"trials must be in [1, 2**63), got {self.trials}")
         check_iterations(self.n_qubits, self.quantum_iterations)
@@ -108,30 +108,33 @@ class GameStats:
         return (self.q_successes - self.c_successes) / self.trials
 
 
-def success_rates(
-    cfg: GameConfig, p_c: float, p_q: float | np.ndarray, p_find: float
-) -> tuple[float | np.ndarray, float]:
-    """Per-turn success rates ``(q, c)`` of Q and C, element-wise in ``p_q``.
+def classic_rate(cfg: GameConfig, p_c: float) -> float:
+    """C's per-turn success rate at acceptance ``p_c``.
 
-    ``q = p_find * P_q``.  Every hit of C's k attempts gets its own
-    acceptance draw, so ``c = 1 - (1 - P_c/N)**k`` (memoryless); without
-    replacement at most one hits, so ``c = (k/N) * P_c`` (sweep).  ``p_q``
-    may be a float or an array (a sweep row); ``c`` is a float either way.
+    Every hit of C's k attempts gets its own acceptance draw, so
+    ``1 - (1 - P_c/N)**k`` (memoryless); without replacement at most one
+    hits, so ``(k/N) * P_c`` (sweep).
     """
     k = cfg.classic_attempts_per_turn
     if cfg.classic_strategy == ClassicStrategy.SWEEP:
-        c = (k / cfg.N) * p_c
-    else:
-        c = 1.0 - (1.0 - p_c / cfg.N) ** k
-    return p_find * p_q, c
+        return (k / cfg.N) * p_c
+    return 1.0 - (1.0 - p_c / cfg.N) ** k
+
+
+def quantum_rate(p_find: float, p_q: float | np.ndarray) -> float | np.ndarray:
+    """Q's per-turn success rate ``p_find * P_q``, element-wise in arrays."""
+    return p_find * p_q
 
 
 def turn_rates(
     cfg: GameConfig, woman: WomanProfile, p_find: float
 ) -> tuple[float, float]:
-    """``success_rates`` of one match; checks the woman's target."""
+    """Per-turn success rates ``(q, c)`` of one match; checks the woman's target."""
     OracleSpec(target=woman.target, n_qubits=cfg.n_qubits)  # the target rule
-    return success_rates(cfg, woman.p_accept_classic, woman.p_accept_quantum, p_find)
+    return (
+        quantum_rate(p_find, woman.p_accept_quantum),
+        classic_rate(cfg, woman.p_accept_classic),
+    )
 
 
 def run_match(

@@ -260,10 +260,7 @@ def run_grover(n_qubits: int, oracle: OracleSpec, iterations: int) -> QuantumSta
 
 def success_probability(state: QuantumState, target: int) -> float:
     """Probability of collapsing onto ``target``."""
-    if not 0 <= target < state.dimension:
-        raise ConfigurationError(
-            f"target {target} out of range for dimension {state.dimension}"
-        )
+    OracleSpec(target=target, n_qubits=state.n_qubits)  # the target rule
     return float(abs(state.amplitudes[target]) ** 2)
 
 

@@ -143,6 +143,16 @@ class TestGame:
         assert code == 1
         assert err.startswith("error:") and word in err
 
+    def test_seed_past_philox_key(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "game", "--variant", "1", "--qubits", "3", "--pc", "0.5",
+            "--pq", "0.5", f"--seed={2**128}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+
     def test_entropy_seed_recorded(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -224,6 +234,19 @@ class TestSweep:
         assert err.startswith("error:") and word in err
         assert not out.exists()
 
+    def test_seed_past_philox_key(self, tmp_path, capsys):
+        # 2**128 + 1 would key Philox like seed 1 if it were reduced.
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--variant", "1", "--qubits", "3", "--grid", "5",
+            f"--seed={2**128 + 1}", "--out", str(out),
+            "--boundary-out", str(tmp_path / "b.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "seed" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -261,6 +284,31 @@ class TestSweep:
         )
         assert code == 2
         assert err.startswith("usage error:") and "--boundary-out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_boundary_out_through_symlink_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "alias").symlink_to(tmp_path / "d")
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--variant", "2", "--qubits", "3", "--grid", "3",
+            "--trials", "10", "--seed", "1", "--out", str(tmp_path / "d" / "x.csv"),
+            "--boundary-out", str(tmp_path / "alias" / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("usage error:") and "--boundary-out" in err
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_empty_boundary_path_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # An empty path is an unwritable path, not an absent option.
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--variant", "2", "--qubits", "3", "--grid", "3",
+            "--trials", "10", "--seed", "1", "--out", "x.csv", "--boundary-out=",
+        )
+        assert code == 1
+        assert err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
 

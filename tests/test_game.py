@@ -96,6 +96,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             GameConfig(3, GameVariant.GAME1, seed=-1)
 
+    def test_seed_past_philox_key_rejected(self):
+        # Philox keys are 128 bits; a wider seed would alias a smaller one.
+        GameConfig(3, GameVariant.GAME1, seed=2**128 - 1)
+        with pytest.raises(ConfigurationError):
+            GameConfig(3, GameVariant.GAME1, seed=2**128)
+
     @pytest.mark.parametrize("iterations", [-1, 29])
     def test_iterations_outside_bound_rejected(self, iterations):
         # 10*sqrt(8) = 28.3: refused at construction, before any cell runs.

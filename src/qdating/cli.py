@@ -70,10 +70,35 @@ def write_manifest(args: argparse.Namespace) -> str:
     for key, value in vars(args).items():
         if value is not None and key not in ("command", "func"):
             fields[key] = value
-    path = args.out + ".manifest"
     lines = [f"{key}={value}" for key, value in fields.items()]
-    write_text(path, "\n".join(lines) + "\n")
-    return path
+    return "\n".join(lines) + "\n"
+
+
+def write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
+    """Write each text (keyed by its option's dest) and the manifest, or none."""
+    outputs = {f"--{key.replace('_', '-')}": (getattr(args, key), text)
+               for key, text in texts.items()}
+    outputs["the manifest"] = (args.out + ".manifest", write_manifest(args))
+    owners: dict[str, str] = {}  # resolved path -> the output that names it
+    for label, (path, _) in outputs.items():
+        if owners.setdefault(target := os.path.realpath(path), label) != label:
+            raise UsageError(f"{owners[target]} and {label} name the same file")
+        if os.path.isdir(target):
+            raise QDatingError(f"output {path!r} is a directory")
+    staged: dict[str, str] = {}  # temporary file -> its output as given
+    try:
+        for target, (path, text) in zip(owners, outputs.values()):
+            staged[tmp := f"{target}.{os.getpid()}.tmp"] = path
+            write_text(tmp, text)
+        for tmp, target in zip(staged, owners):
+            os.replace(tmp, target)
+    except OSError as exc:
+        if exc.filename in staged:  # name the output, not its temporary file
+            exc.filename = staged[exc.filename]
+        raise
+    finally:
+        for tmp in filter(os.path.lexists, staged):
+            os.remove(tmp)
 
 
 def read_manifest(path: str) -> dict[str, str]:
@@ -94,8 +119,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.qubits < 1:
         raise UsageError("--qubits must be >= 1 for trace")
     points = amplitude_trace(args.qubits, args.target, args.iterations)
-    write_text(args.out, trace_csv(points))
-    write_manifest(args)
+    write_outputs(args, {"out": trace_csv(points)})
     return 0
 
 
@@ -132,17 +156,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         # SweepSpec checks only the grid, which is a usage error.
         raise UsageError(str(exc)) from None
-    written = {os.path.realpath(args.out), os.path.realpath(args.out + ".manifest")}
-    if args.boundary_out is not None and os.path.realpath(args.boundary_out) in written:
-        raise UsageError("--boundary-out would be overwritten by --out or its manifest")
     table = run_sweep(spec)
-    text = sweep_csv(table)
-    # The boundary file goes first, so a bad --boundary-out leaves no
-    # sweep CSV behind without its manifest.
+    texts = {"out": sweep_csv(table)}
     if args.boundary_out is not None:
-        write_text(args.boundary_out, boundary_csv(sign_boundary(table)))
-    write_text(args.out, text)
-    write_manifest(args)
+        texts["boundary_out"] = boundary_csv(sign_boundary(table))
+    write_outputs(args, texts)
     return 0
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import math
+import os
 
 import pytest
 
+from qdating import cli
 from qdating.cli import main, read_manifest
 from qdating.experiment import ENGINE, MAX_GRID_POINTS
 
@@ -291,6 +293,86 @@ class TestSweep:
         assert code == 1
         assert err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputs:
+    """A run's files and manifest land together, or a failed run leaves none."""
+
+    SWEEP = ("sweep", "--variant", "2", "--qubits", "3", "--trials", "10", "--seed", "1")
+
+    def test_unwritable_out_leaves_no_boundary_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            capsys, *self.SWEEP, "--grid", "3",
+            "--out", "missing/x.csv", "--boundary-out", "b.csv",
+        )
+        assert code == 1
+        # The error names the path as given, not a temporary file beside it.
+        assert err == "error: [Errno 2] No such file or directory: 'missing/x.csv'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_manifest_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "x.csv.manifest").mkdir()
+        code, _, err = run_cli(
+            capsys, *self.SWEEP, "--grid", "3", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "is a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv.manifest"]
+
+    def test_failed_rerun_keeps_the_previous_files(self, tmp_path, capsys, monkeypatch):
+        out, bout = tmp_path / "fig5.csv", tmp_path / "b.csv"
+        manifest = tmp_path / "fig5.csv.manifest"
+        code, _, _ = run_cli(
+            capsys, *self.SWEEP, "--grid", "6",
+            "--out", str(out), "--boundary-out", str(bout),
+        )
+        assert code == 0
+        before = {path: path.read_bytes() for path in (out, bout, manifest)}
+        # A manifest naming the same files, whose run would change all three.
+        edited = tmp_path / "edited.manifest"
+        edited.write_text(manifest.read_text().replace("grid=6", "grid=5"))
+        real_write_text, calls = cli.write_text, []
+
+        def fail_on_second_call(path, text):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_write_text(path, text)
+
+        monkeypatch.setattr(cli, "write_text", fail_on_second_call)
+        code, _, err = run_cli(capsys, "rerun", "--manifest", str(edited))
+        assert code == 1
+        assert err == "error: disk full\n"
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(tmp_path.iterdir()) == sorted([*before, edited])
+
+    def test_out_through_symlink_writes_its_target(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        target, link = tmp_path / "d" / "t.csv", tmp_path / "t.csv"
+        target.write_text("earlier\n")
+        link.symlink_to(target)
+        code, _, _ = run_cli(
+            capsys,
+            "trace", "--qubits", "3", "--target", "1", "--iterations", "2",
+            "--out", str(link),
+        )
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().startswith("iteration,p_target")
+        assert read_manifest(str(link) + ".manifest")["out"] == str(link)
+
+    def test_manifest_linked_to_out_is_usage_error(self, tmp_path, capsys):
+        out, manifest = tmp_path / "t.csv", tmp_path / "t.csv.manifest"
+        manifest.symlink_to(out)
+        code, _, err = run_cli(
+            capsys,
+            "trace", "--qubits", "3", "--target", "1", "--iterations", "2",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("usage error:") and "--out" in err
+        assert list(tmp_path.iterdir()) == [manifest] and not out.exists()
 
 
 class TestAnalytic:

@@ -7,7 +7,8 @@ that they are refused before any cell is played is what they test, and
 what keeps them cheap.  No command builds an amplitude vector, the Grover
 kernel costs O(1) per iterate and a match is two binomial draws whatever
 its trials, so trials run up to past numpy's 2**63 - 1 limit and every
-example is still cheap.
+example is still cheap.  A run that exits non-zero writes no file, also
+when one output's directory is missing and another's is not.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdating.cli import main
@@ -39,10 +40,19 @@ PROBABILITIES = st.one_of(
 VARIANTS = st.integers(1, 2)
 STRATEGIES = st.sampled_from(["memoryless", "sweep"])
 
+
+def output(name):
+    """An output path, relative to the example's directory: "missing" is never made."""
+    return st.sampled_from([name, f"missing/{name}"])
+
+
+OUTPUTS = ("out", "boundary-out")
+
 # command -> (required options, optional options), each option -> values.
 COMMANDS = {
     "trace": (
-        {"qubits": QUBITS, "target": INDICES, "iterations": ITERATIONS, "out": None},
+        {"qubits": QUBITS, "target": INDICES, "iterations": ITERATIONS,
+         "out": output("out")},
         {},
     ),
     "game": (
@@ -52,10 +62,10 @@ COMMANDS = {
          "classic-strategy": STRATEGIES, "grover-iterations": ITERATIONS},
     ),
     "sweep": (
-        {"variant": VARIANTS, "qubits": QUBITS, "out": None},
+        {"variant": VARIANTS, "qubits": QUBITS, "out": output("out")},
         {"grid": GRID, "trials": TRIALS, "seed": SEEDS,
          "classic-strategy": STRATEGIES, "grover-iterations": ITERATIONS,
-         "boundary-out": None},
+         "boundary-out": output("boundary-out")},
     ),
     "analytic": (
         {"n": st.one_of(INDICES, QUBITS.map(lambda q: 2**q if q >= 0 else q))},
@@ -74,27 +84,28 @@ def invocations(draw):
     chosen.update(
         (name, values) for name, values in optional.items() if draw(st.booleans())
     )
-    # ``None`` marks an output path, filled in under the example's directory.
-    return [command] + [
-        (name, None if values is None else draw(values))
-        for name, values in chosen.items()
-    ]
+    return [command] + [(name, draw(values)) for name, values in chosen.items()]
 
 
 @given(invocations())
+# An unwritable --out beside a writable --boundary-out.
+@example(["sweep", ("variant", 2), ("qubits", 3), ("grid", 3), ("trials", 10),
+          ("seed", 1), ("out", "missing/out"), ("boundary-out", "boundary-out")])
 @settings(max_examples=200, deadline=None)
 def test_exit_code_is_0_1_or_2(invocation):
     command, options = invocation[0], invocation[1:]
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command] + [
-            f"--{name}={os.path.join(tmp, name) if value is None else value}"
+            f"--{name}={os.path.join(tmp, value) if name in OUTPUTS else value}"
             for name, value in options
         ]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
+        left = os.listdir(tmp)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr.getvalue()
+    assert code == 0 or left == [], (argv, code, left)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 Every file-producing command writes a flat ``<output>.manifest`` of
 ``key=value`` lines: the command, the RNG engine tag, the package, Python
 and numpy versions, then every parsed argument as resolved.  ``rerun``
-turns the arguments back into options and regenerates the output
+turns the arguments back into a command line, which ``main`` parses with
+the parser it already built and runs, so the output is regenerated
 byte-identically; it refuses a manifest from another engine.
 
 Exit codes: 0 success, 1 domain or runtime error, 2 usage error.
@@ -198,8 +199,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rerun(args: argparse.Namespace) -> int:
-    fields = read_manifest(args.manifest)
+def replay_argv(path: str) -> list[str]:
+    """The command line that the manifest at ``path`` records."""
+    fields = read_manifest(path)
     engine, command = fields.get("engine"), fields.get("command")
     if engine != ENGINE:
         raise QDatingError(
@@ -210,12 +212,11 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             f"rerun replays only {' and '.join(MANIFEST_COMMANDS)} manifests, "
             f"got command {command!r}"
         )
-    argv = [command] + [
+    return [command] + [
         f"--{key.replace('_', '-')}={value}"
         for key, value in fields.items()
         if key not in HEADER_KEYS
     ]
-    return main(argv)
 
 
 def _add_search_options(p: argparse.ArgumentParser) -> None:
@@ -275,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     # Unset unless given, so the modes that play no match can refuse them.
     p.set_defaults(func=cmd_analytic, grover_iterations=None, classic_strategy=None)
 
+    # ``main`` parses the manifest's command line in place of this one.
     p = sub.add_parser("rerun", help="replay a run from its manifest")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_rerun)
 
     # Options are never abbreviated, so ``rerun`` refuses a manifest key that
     # is only a prefix of one.
@@ -291,10 +292,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        if args.command == "rerun":
+            args = parser.parse_args(replay_argv(args.manifest))
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its message
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

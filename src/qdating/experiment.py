@@ -4,7 +4,8 @@ A sweep is a ``SweepTable`` of two G x G arrays, the measured and the
 expected D/T.  C's rate depends on P_c alone and Q's on P_q alone, so a
 sweep computes one C column and one Q row; each grid row is then one
 binomial call on the row's own Philox stream, so rows are independent of
-each other.
+each other.  A sweep builds one Philox and sets its counter to each
+row's stream in turn.
 
 Outputs are plot-ready CSV only.  Every float is printed with 12
 significant digits and rows end with a bare newline, so a rerun with the
@@ -14,6 +15,7 @@ same inputs is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -101,14 +103,29 @@ def amplitude_trace(
 ENGINE = "philox-row-1"
 
 
-def row_rng(seed: int, i: int) -> np.random.Generator:
-    """Counter-based stream of sweep row i: the row selects the Philox counter.
+def row_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """Sweep rows' counter-based streams, all drawn from one Philox.
 
-    The row sits in the high counter word and draws advance the low ones, so
-    no two rows' streams overlap.  Streams are independent of evaluation
-    order, so rows can be computed concurrently without perturbing results.
+    Row i's stream is ``Philox(key=seed, counter=i << 192)``: the row sits
+    in the high counter word and draws advance the low ones, so no two
+    rows' streams overlap.  The returned ``row_rng(i)`` sets the one
+    generator's counter to ``i << 192`` and empties its buffer, which costs
+    far less than building a new Philox.  So row i draws the same numbers
+    whichever rows were drawn before it, and rows can be drawn in any
+    order.  Every call returns the same generator, so a row's draws end
+    before the next row is asked for.
     """
-    return np.random.Generator(np.random.Philox(key=seed, counter=i << 192))
+    bit_generator = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_generator)
+    start = bit_generator.state  # counter 0, nothing buffered
+    counter = start["state"]["counter"]
+
+    def row_rng(i: int) -> np.random.Generator:
+        counter[3] = i
+        bit_generator.state = start
+        return rng
+
+    return row_rng
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -116,10 +133,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     C's rate is computed once per P_c and Q's once per P_q, with Q's find
     probability the kernel's a_t**2 for the draws and the closed form for
-    the expected surface, as in ``run_match`` and ``expected_dt``.  Row i's
-    2 x G binomial draw (C's then Q's successes) comes from
-    ``row_rng(seed, i)``.  The target is always index 0, which every
-    register holds.
+    the expected surface, as in ``run_match`` and ``expected_dt``.  One
+    Philox serves the sweep: row i's 2 x G binomial draw (C's then Q's
+    successes) comes from ``row_rng(i)`` of ``row_streams(seed)``, the
+    generator with its counter set to ``i << 192``.  The target is always
+    index 0, which every register holds.
     """
     cfg = spec.config
     grid = spec.grid()
@@ -130,9 +148,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     measured = np.empty_like(expected)
     rates = np.empty((2, grid.size))
     rates[1] = quantum_rate(a_t * a_t, grid)
+    row_rng = row_streams(cfg.seed)
     for i, c_i in enumerate(c):
         rates[0] = c_i
-        c_successes, q_successes = row_rng(cfg.seed, i).binomial(cfg.trials, rates)
+        c_successes, q_successes = row_rng(i).binomial(cfg.trials, rates)
         measured[i] = (q_successes - c_successes) / cfg.trials
     return SweepTable(grid, measured, expected, cfg.trials)
 

@@ -511,6 +511,26 @@ class TestManifestRoundTrip:
         assert code == 0
         assert manifest.read_bytes() == first
 
+    def test_rerun_builds_one_parser(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "trace.csv"
+        run_cli(
+            capsys,
+            "trace", "--qubits", "3", "--target", "1",
+            "--iterations", "2", "--out", str(out),
+        )
+        calls = {"build_parser": 0, "main": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_parser", counted("build_parser", cli.build_parser))
+        monkeypatch.setattr(cli, "main", counted("main", cli.main))
+        assert cli.main(["rerun", "--manifest", str(out) + ".manifest"]) == 0
+        assert calls == {"build_parser": 1, "main": 1}
+
     @pytest.mark.parametrize(
         "case, code",
         [
@@ -522,6 +542,7 @@ class TestManifestRoundTrip:
             ("previous_engine", 1),
             ("self_rerun", 1),
             ("unknown_command", 1),
+            ("target_out_of_range", 1),
         ],
     )
     def test_malformed_manifest(self, tmp_path, capsys, case, code):
@@ -549,6 +570,9 @@ class TestManifestRoundTrip:
                      for line in lines]
         elif case == "self_rerun":
             lines = ["command=rerun", f"engine={ENGINE}", f"manifest={manifest}"]
+        elif case == "target_out_of_range":
+            lines = ["target=99" if line.startswith("target=") else line
+                     for line in lines]
         else:
             lines = ["command=frobnicate" if line.startswith("command=") else line
                      for line in lines]

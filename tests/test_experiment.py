@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qdating.experiment import (
     MAX_GRID_POINTS,
     boundary_csv,
     format_float,
-    row_rng,
+    row_streams,
     sweep_csv,
     trace_csv,
 )
@@ -65,22 +66,46 @@ class TestAmplitudeTrace:
             amplitude_trace(2, 1, 100)
 
 
+def fresh_row_rng(seed, i):
+    """Row i's stream by its definition, from a Philox of its own."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=i << 192))
+
+
 class TestRowRng:
     def test_streams_differ_by_row_and_seed(self):
-        a = row_rng(1, 0).random(4)
-        assert not np.allclose(a, row_rng(1, 1).random(4))
-        assert not np.allclose(a, row_rng(2, 0).random(4))
+        a = row_streams(1)(0).random(4)
+        assert not np.allclose(a, row_streams(1)(1).random(4))
+        assert not np.allclose(a, row_streams(2)(0).random(4))
 
     def test_neighbouring_rows_share_no_draws(self):
+        row_rng = row_streams(5)
+
         def draws(i):
-            return set(row_rng(5, i).integers(0, 2**63, size=1024).tolist())
+            return set(row_rng(i).integers(0, 2**63, size=1024).tolist())
 
         row = draws(2)
         assert not row & draws(1)
         assert not row & draws(3)
 
     def test_stream_is_reproducible(self):
-        np.testing.assert_array_equal(row_rng(9, 3).random(8), row_rng(9, 3).random(8))
+        row_rng = row_streams(9)
+        first = row_rng(3).random(8)
+        np.testing.assert_array_equal(row_rng(3).random(8), first)
+        np.testing.assert_array_equal(fresh_row_rng(9, 3).random(8), first)
+
+    def test_reset_discards_what_the_last_row_buffered(self):
+        # 64-bit words come four to a Philox block, and 32-bit draws half
+        # a word at a time; an odd count of each leaves both buffers full.
+        row_rng = row_streams(2**128 - 1)
+        for i in (4, 0, 7, 4, 1000):
+            rng = row_rng(i)
+            np.testing.assert_array_equal(
+                rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                fresh_row_rng(2**128 - 1, i).integers(0, 2**32, size=3, dtype=np.uint32),
+            )
+            rng.random(5)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            assert rng.bit_generator.state["buffer_pos"] < 4
 
 
 class TestSweepSpec:
@@ -147,8 +172,17 @@ class TestRunSweep:
         tol = 4 * math.sqrt(0.5 / trials)
         assert np.all(np.abs(table.measured - table.expected) < tol)
 
-    @pytest.mark.parametrize("n_qubits", [1, 3])
-    def test_plays_the_config_as_given(self, n_qubits):
+    @pytest.mark.parametrize(
+        "n_qubits, trials, grid_points",
+        [
+            pytest.param(1, 30, 3, id="1"),
+            pytest.param(3, 30, 3, id="3"),
+            # n p > 30 draws by BTPE, which takes a varying number of words
+            # per cell.
+            pytest.param(3, 100_000, 5, id="btpe"),
+        ],
+    )
+    def test_plays_the_config_as_given(self, n_qubits, trials, grid_points):
         # Every field off its default, so a sweep that rebuilt the config
         # from some of them would change a column.  At n_qubits = 1 C makes
         # k = 1 attempt and the sweep and memoryless rates are both P_c/N;
@@ -156,23 +190,32 @@ class TestRunSweep:
         cfg = GameConfig(
             n_qubits,
             GameVariant.GAME2,
-            trials=30,
+            trials=trials,
             quantum_iterations=2,
             classic_strategy=ClassicStrategy.SWEEP,
             seed=11,
         )
-        table = run_sweep(SweepSpec(cfg, grid_points=3))
+        spec = SweepSpec(cfg, grid_points)
+        table = run_sweep(spec)
         assert table.trials == cfg.trials
         a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
         grid = table.grid.tolist()
+        ends_mid_block = []
         for i, p_c in enumerate(grid):
             women = [WomanProfile(0, p_c, p_q) for p_q in grid]
             q, c = np.array([turn_rates(cfg, w, a_t * a_t) for w in women]).T
-            c_wins, q_wins = row_rng(cfg.seed, i).binomial(cfg.trials, [c, q])
+            rng = fresh_row_rng(cfg.seed, i)
+            c_wins, q_wins = rng.binomial(cfg.trials, [c, q])
+            ends_mid_block.append(rng.bit_generator.state["buffer_pos"] < 4)
             np.testing.assert_array_equal(
                 table.measured[i], (q_wins - c_wins) / cfg.trials
             )
             assert table.expected[i].tolist() == [expected_dt(cfg, w) for w in women]
+        # So the sweep's reset before the next row must discard buffered words.
+        assert any(ends_mid_block)
+        # No generator state carries over from one sweep to the next.
+        run_sweep(SweepSpec(replace(cfg, seed=12), grid_points))
+        np.testing.assert_array_equal(run_sweep(spec).measured, table.measured)
 
     @pytest.mark.parametrize("variant", [GameVariant.GAME1, GameVariant.GAME2])
     def test_grid_sum_z(self, variant):

@@ -58,7 +58,17 @@ MANIFEST_COMMANDS = ("trace", "sweep")
 HEADER_KEYS = ("command", "engine", "version", "python", "numpy")
 
 
+def option(dest: str) -> str:
+    """The command-line option whose value lands in ``args.<dest>``."""
+    return f"--{dest.replace('_', '-')}"
+
+
 def write_manifest(args: argparse.Namespace) -> str:
+    """The manifest's text; refuses a value that it could not replay.
+
+    A manifest is one ``key=value`` per line, so a line break in a value
+    would be read back as the end of the value, or as another key.
+    """
     from numpy import __version__ as numpy_version
 
     fields = {
@@ -70,6 +80,11 @@ def write_manifest(args: argparse.Namespace) -> str:
     }
     for key, value in vars(args).items():
         if value is not None and key not in ("command", "func"):
+            if "\n" in str(value) or "\r" in str(value):
+                raise UsageError(
+                    f"{option(key)} {value!r} holds a line break, "
+                    "which its manifest cannot record"
+                )
             fields[key] = value
     lines = [f"{key}={value}" for key, value in fields.items()]
     return "\n".join(lines) + "\n"
@@ -77,7 +92,7 @@ def write_manifest(args: argparse.Namespace) -> str:
 
 def write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
     """Write each text (keyed by its option's dest) and the manifest, or none."""
-    outputs = {f"--{key.replace('_', '-')}": (getattr(args, key), text)
+    outputs = {option(key): (getattr(args, key), text)
                for key, text in texts.items()}
     outputs["the manifest"] = (args.out + ".manifest", write_manifest(args))
     owners: dict[str, str] = {}  # resolved path -> the output that names it
@@ -112,6 +127,8 @@ def read_manifest(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise QDatingError(f"malformed manifest line: {line!r}")
+            if key in fields:
+                raise QDatingError(f"manifest repeats key {key!r}")
             fields[key] = value
     return fields
 
@@ -213,7 +230,7 @@ def replay_argv(path: str) -> list[str]:
             f"got command {command!r}"
         )
     return [command] + [
-        f"--{key.replace('_', '-')}={value}"
+        f"{option(key)}={value}"
         for key, value in fields.items()
         if key not in HEADER_KEYS
     ]

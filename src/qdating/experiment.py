@@ -1,11 +1,12 @@
 """Reproduction harnesses: amplitude traces and (P_c, P_q) sweep surfaces.
 
-A sweep is a ``SweepTable`` of two G x G arrays, the measured and the
-expected D/T.  C's rate depends on P_c alone and Q's on P_q alone, so a
-sweep computes one C column and one Q row; each grid row is then one
-binomial call on the row's own Philox stream, so rows are independent of
-each other.  A sweep builds one Philox and sets its counter to each
-row's stream in turn.
+C's rate depends on P_c alone and Q's on P_q alone, so a sweep computes
+one C column and one Q row; each grid row is then one binomial call on
+the row's own Philox stream, so rows are independent of each other.  A
+sweep builds one Philox and sets its counter to each row's stream in
+turn.  Its ``SweepTable`` holds C's column, Q's row and the measured
+D/T, its one G x G array; a cell's expected D/T is Q's rate minus C's,
+worked out where it is used.
 
 Outputs are plot-ready CSV only.  Every float is printed with 12
 significant digits and rows end with a bare newline, so a rerun with the
@@ -44,8 +45,8 @@ class TracePoint:
     amp_target: float
 
 
-# Largest grid side.  ``run_sweep`` holds two G x G float arrays, so a side
-# of 1001 (10**6 cells) is 16 MB of table, and the CSV text of ``sweep_csv``
+# Largest grid side.  ``run_sweep`` holds one G x G float array, so a side
+# of 1001 (10**6 cells) is 8 MB of table, and the CSV text of ``sweep_csv``
 # (about 38 bytes a cell) is what bounds a sweep's memory.
 MAX_GRID_POINTS = 1001
 
@@ -70,11 +71,17 @@ class SweepSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """A sweep's surfaces: cell (i, j) is P_c = grid[i], P_q = grid[j]."""
+    """What a sweep computes: C's column, Q's row and the measured surface.
+
+    Cell (i, j) is P_c = grid[i], P_q = grid[j].  Its expected D/T
+    (``expected_dt``) is ``q_rate[j] - c_rate[i]``, and its measured D/T is
+    ``measured[i, j]``.
+    """
 
     grid: np.ndarray
+    c_rate: np.ndarray  # C's per-turn rate at each P_c
+    q_rate: np.ndarray  # Q's per-turn rate at each P_q, closed-form p_G
     measured: np.ndarray  # G x G measured D/T
-    expected: np.ndarray  # G x G ``expected_dt``
     trials: int
 
     def __len__(self) -> int:
@@ -133,7 +140,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     C's rate is computed once per P_c and Q's once per P_q, with Q's find
     probability the kernel's a_t**2 for the draws and the closed form for
-    the expected surface, as in ``run_match`` and ``expected_dt``.  One
+    the table's ``q_rate``, as in ``run_match`` and ``expected_dt``.  One
     Philox serves the sweep: row i's 2 x G binomial draw (C's then Q's
     successes) comes from ``row_rng(i)`` of ``row_streams(seed)``, the
     generator with its counter set to ``i << 192``.  The target is always
@@ -144,8 +151,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     c = [classic_rate(cfg, p_c) for p_c in grid.tolist()]
     a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
     p_closed = closed_form_probability(cfg.N, cfg.quantum_iterations)
-    expected = quantum_rate(p_closed, grid) - np.array(c)[:, None]
-    measured = np.empty_like(expected)
+    measured = np.empty((grid.size, grid.size))
     rates = np.empty((2, grid.size))
     rates[1] = quantum_rate(a_t * a_t, grid)
     row_rng = row_streams(cfg.seed)
@@ -153,18 +159,19 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         rates[0] = c_i
         c_successes, q_successes = row_rng(i).binomial(cfg.trials, rates)
         measured[i] = (q_successes - c_successes) / cfg.trials
-    return SweepTable(grid, measured, expected, cfg.trials)
+    q_rate = quantum_rate(p_closed, grid)
+    return SweepTable(grid, np.array(c), q_rate, measured, cfg.trials)
 
 
 def sign_boundary(table: SweepTable) -> list[tuple[float, float]]:
     """D/T = 0 contour of the expected surface, one point per P_q column.
 
     For each grid P_q > 0, linearly interpolates P_c at the first sign
-    change of ``expected[:, j]`` scanning P_c upward; columns with no sign
-    change contribute nothing.
+    change of column j of the expected surface ``q_rate[j] - c_rate[i]``,
+    scanning P_c upward; columns with no sign change contribute nothing.
     """
     grid = table.grid.tolist()
-    d = table.expected
+    d = table.q_rate - table.c_rate[:, None]
     crossing = (d[:-1] == 0.0) | ((d[:-1] > 0.0) != (d[1:] > 0.0))
     boundary = []
     for j in np.flatnonzero(crossing.any(axis=0)).tolist():
@@ -198,12 +205,13 @@ def trace_csv(points: list[TracePoint]) -> str:
 def sweep_csv(table: SweepTable) -> str:
     """One line per cell, row-major; a row's lines are joined as they are made."""
     axis = [format_float(x) for x in table.grid]
+    q_rate = table.q_rate.tolist()
     chunks = [SWEEP_HEADER + "\n"]
-    for p_c, measured, expected in zip(axis, table.measured, table.expected):
+    for p_c, c, measured in zip(axis, table.c_rate.tolist(), table.measured):
         # The cell values in ``format_float``'s format.
         chunks.append("".join(
-            f"{p_c},{p_q},{m:.12g},{e:.12g},{table.trials}\n"
-            for p_q, m, e in zip(axis, measured.tolist(), expected.tolist())
+            f"{p_c},{p_q},{m:.12g},{q - c:.12g},{table.trials}\n"
+            for p_q, q, m in zip(axis, q_rate, measured.tolist())
         ))
     return "".join(chunks)
 

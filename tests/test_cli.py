@@ -362,6 +362,24 @@ class TestOutputs:
         assert target.read_text().startswith("iteration,p_target")
         assert read_manifest(str(link) + ".manifest")["out"] == str(link)
 
+    @pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("option", ["--out", "--boundary-out"])
+    def test_line_break_in_a_path_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, option, line_break
+    ):
+        # Written as it stands, the manifest's ``grid=2`` line would replay
+        # a 2-point grid in place of the 3-point grid that was run.
+        monkeypatch.chdir(tmp_path)
+        paths = {"--out": "x.csv", "--boundary-out": "b.csv"}
+        paths[option] += f"{line_break}grid=2"
+        code, _, err = run_cli(
+            capsys, *self.SWEEP, "--grid", "3",
+            "--out", paths["--out"], "--boundary-out", paths["--boundary-out"],
+        )
+        assert code == 2
+        assert err.startswith("usage error:") and f"{option} " in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_linked_to_out_is_usage_error(self, tmp_path, capsys):
         out, manifest = tmp_path / "t.csv", tmp_path / "t.csv.manifest"
         manifest.symlink_to(out)
@@ -543,6 +561,7 @@ class TestManifestRoundTrip:
             ("self_rerun", 1),
             ("unknown_command", 1),
             ("target_out_of_range", 1),
+            ("repeated_key", 1),
         ],
     )
     def test_malformed_manifest(self, tmp_path, capsys, case, code):
@@ -573,6 +592,8 @@ class TestManifestRoundTrip:
         elif case == "target_out_of_range":
             lines = ["target=99" if line.startswith("target=") else line
                      for line in lines]
+        elif case == "repeated_key":
+            lines = lines + ["iterations=1"]
         else:
             lines = ["command=frobnicate" if line.startswith("command=") else line
                      for line in lines]

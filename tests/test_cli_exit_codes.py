@@ -8,7 +8,8 @@ what keeps them cheap.  No command builds an amplitude vector, the Grover
 kernel costs O(1) per iterate and a match is two binomial draws whatever
 its trials, so trials run up to past numpy's 2**63 - 1 limit and every
 example is still cheap.  A run that exits non-zero writes no file, also
-when one output's directory is missing and another's is not.
+when one output's directory is missing and another's is not, or when an
+output's name holds a line break, which its manifest cannot record.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ STRATEGIES = st.sampled_from(["memoryless", "sweep"])
 
 def output(name):
     """An output path, relative to the example's directory: "missing" is never made."""
-    return st.sampled_from([name, f"missing/{name}"])
+    return st.sampled_from([name, f"missing/{name}", f"{name}\n{name}"])
 
 
 OUTPUTS = ("out", "boundary-out")

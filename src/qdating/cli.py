@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 domain or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
-import secrets
 import sys
 
 from . import __version__
@@ -40,7 +40,7 @@ from .game import (
     expected_dt,
     run_match,
 )
-from .statevector import (
+from .kernel import (
     check_iterations,
     closed_form_probability,
     optimal_iterations,
@@ -63,27 +63,52 @@ def option(dest: str) -> str:
     return f"--{dest.replace('_', '-')}"
 
 
+@functools.cache
+def numpy_version() -> str:
+    """numpy's ``__version__``, read without importing numpy.
+
+    Runs alone the ``version.py`` that ``import numpy`` would find and take
+    ``__version__`` from.  Where that file imports from its own package
+    (numpy before 1.26), numpy is imported; the value is the same.
+    """
+    import importlib.util
+
+    package = importlib.util.find_spec("numpy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location(
+        "numpy.version", os.path.join(package, "version.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.__version__
+
+
 def write_manifest(args: argparse.Namespace) -> str:
     """The manifest's text; refuses a value that it could not replay.
 
-    A manifest is one ``key=value`` per line, so a line break in a value
-    would be read back as the end of the value, or as another key.
+    A manifest is one ``key=value`` per line of UTF-8, so a line break in
+    a value would be read back as the end of the value, or as another key,
+    and a value that is not valid UTF-8 (a path's undecodable bytes) could
+    not be written at all.
     """
-    from numpy import __version__ as numpy_version
-
     fields = {
         "command": args.command,
         "engine": ENGINE,
         "version": __version__,
         "python": ".".join(map(str, sys.version_info[:3])),
-        "numpy": numpy_version,
+        "numpy": numpy_version(),
     }
     for key, value in vars(args).items():
         if value is not None and key not in ("command", "func"):
-            if "\n" in str(value) or "\r" in str(value):
+            text, problem = str(value), None
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                problem = "is not valid UTF-8"
+            if "\n" in text or "\r" in text:
+                problem = "holds a line break"
+            if problem:
                 raise UsageError(
-                    f"{option(key)} {value!r} holds a line break, "
-                    "which its manifest cannot record"
+                    f"{option(key)} {value!r} {problem}, which its manifest cannot record"
                 )
             fields[key] = value
     lines = [f"{key}={value}" for key, value in fields.items()]
@@ -146,6 +171,8 @@ def _game_config(args: argparse.Namespace) -> GameConfig:
     if args.seed is None:
         # Entropy fallback for exploratory runs; the drawn value is recorded
         # in the manifest / output row so the run stays reproducible.
+        import secrets
+
         args.seed = secrets.randbits(63)
     return GameConfig(
         n_qubits=args.qubits,

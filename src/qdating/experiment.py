@@ -8,6 +8,11 @@ turn.  Its ``SweepTable`` holds C's column, Q's row and the measured
 D/T, its one G x G array; a cell's expected D/T is Q's rate minus C's,
 worked out where it is used.
 
+Only what draws or builds an array imports numpy, inside the function:
+``SweepSpec.grid``, ``row_streams``, ``run_sweep`` and ``sign_boundary``.
+``amplitude_trace`` and the CSV emitters need only the numpy-free
+``qdating.kernel``, so ``trace`` never loads it.
+
 Outputs are plot-ready CSV only.  Every float is printed with 12
 significant digits and rows end with a bare newline, so a rerun with the
 same inputs is byte-identical.
@@ -16,18 +21,19 @@ same inputs is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError
 from .game import GameConfig, GameStats, WomanProfile, classic_rate, quantum_rate
-from .statevector import (
+from .kernel import (
     OracleSpec,
     closed_form_probability,
     final_amplitudes,
     grover_amplitudes,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -66,6 +72,8 @@ class SweepSpec:
             )
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(0.0, 1.0, self.grid_points)
 
 
@@ -122,6 +130,8 @@ def row_streams(seed: int) -> Callable[[int], np.random.Generator]:
     order.  Every call returns the same generator, so a row's draws end
     before the next row is asked for.
     """
+    import numpy as np
+
     bit_generator = np.random.Philox(key=seed)
     rng = np.random.Generator(bit_generator)
     start = bit_generator.state  # counter 0, nothing buffered
@@ -146,6 +156,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     generator with its counter set to ``i << 192``.  The target is always
     index 0, which every register holds.
     """
+    import numpy as np
+
     cfg = spec.config
     grid = spec.grid()
     c = [classic_rate(cfg, p_c) for p_c in grid.tolist()]
@@ -170,6 +182,8 @@ def sign_boundary(table: SweepTable) -> list[tuple[float, float]]:
     change of column j of the expected surface ``q_rate[j] - c_rate[i]``,
     scanning P_c upward; columns with no sign change contribute nothing.
     """
+    import numpy as np
+
     grid = table.grid.tolist()
     d = table.q_rate - table.c_rate[:, None]
     crossing = (d[:-1] == 0.0) | ((d[:-1] > 0.0) != (d[1:] > 0.0))

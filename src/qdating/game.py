@@ -11,23 +11,29 @@ with per-proposal probabilities ``p_accept_classic`` / ``p_accept_quantum``.
 Success flags are counted independently per turn (both players may succeed
 in the same turn), and the headline statistic over T turns is
 ``d_over_t = (Q successes - C successes) / T``.
+
+Only ``run_match`` draws, and it imports numpy when it builds its own
+generator; the configuration types, the rates and ``expected_dt`` need
+only the numpy-free ``qdating.kernel``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .statevector import (
+from .kernel import (
     OracleSpec,
     check_iterations,
     check_register,
     closed_form_probability,
     final_amplitudes,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GameVariant(enum.IntEnum):
@@ -151,7 +157,9 @@ def run_match(
     a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
     q, c = turn_rates(cfg, woman, a_t * a_t)  # checks the target before any draw
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        from numpy.random import default_rng
+
+        rng = default_rng(cfg.seed)
     c_successes, q_successes = rng.binomial(cfg.trials, [c, q])
     return GameStats(
         q_successes=int(q_successes), c_successes=int(c_successes), trials=cfg.trials

@@ -380,6 +380,21 @@ class TestOutputs:
         assert err.startswith("usage error:") and f"{option} " in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", ["--out", "--boundary-out"])
+    def test_path_not_utf8_is_usage_error(self, tmp_path, capsys, monkeypatch, option):
+        # A name with the byte 0xff, as Python holds it; the manifest is UTF-8.
+        monkeypatch.chdir(tmp_path)
+        paths = {"--out": "x.csv", "--boundary-out": "b.csv"}
+        paths[option] = os.fsdecode(b"\xff" + os.fsencode(paths[option]))
+        code, _, err = run_cli(
+            capsys, *self.SWEEP, "--grid", "3",
+            "--out", paths["--out"], "--boundary-out", paths["--boundary-out"],
+        )
+        assert code == 2
+        assert err.startswith("usage error:") and f"{option} " in err
+        assert "not valid UTF-8" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_linked_to_out_is_usage_error(self, tmp_path, capsys):
         out, manifest = tmp_path / "t.csv", tmp_path / "t.csv.manifest"
         manifest.symlink_to(out)
@@ -515,6 +530,20 @@ class TestManifestRoundTrip:
         assert manifest["engine"] == ENGINE
         assert "boundary_out" not in manifest
         assert int(manifest["seed"]) >= 0
+
+    def test_manifest_records_numpy_version(self, tmp_path, capsys):
+        import numpy
+
+        out = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "trace", "--qubits", "3", "--target", "1", "--iterations", "2",
+            "--out", str(out),
+        )
+        assert code == 0
+        manifest = read_manifest(str(out) + ".manifest")
+        assert list(manifest)[:5] == ["command", "engine", "version", "python", "numpy"]
+        assert manifest["numpy"] == numpy.__version__
 
     def test_rerun_rewrites_the_same_manifest(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

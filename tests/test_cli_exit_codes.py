@@ -9,7 +9,8 @@ kernel costs O(1) per iterate and a match is two binomial draws whatever
 its trials, so trials run up to past numpy's 2**63 - 1 limit and every
 example is still cheap.  A run that exits non-zero writes no file, also
 when one output's directory is missing and another's is not, or when an
-output's name holds a line break, which its manifest cannot record.
+output's name holds a line break or bytes that are not UTF-8, which its
+manifest cannot record.
 """
 
 import contextlib
@@ -43,8 +44,11 @@ STRATEGIES = st.sampled_from(["memoryless", "sweep"])
 
 
 def output(name):
-    """An output path, relative to the example's directory: "missing" is never made."""
-    return st.sampled_from([name, f"missing/{name}", f"{name}\n{name}"])
+    """An output path, relative to the example's directory: "missing" is never made.
+
+    ``\udcff`` is how Python holds a name's undecodable byte 0xff.
+    """
+    return st.sampled_from([name, f"missing/{name}", f"{name}\n{name}", f"\udcff{name}"])
 
 
 OUTPUTS = ("out", "boundary-out")
@@ -92,6 +96,9 @@ def invocations(draw):
 # An unwritable --out beside a writable --boundary-out.
 @example(["sweep", ("variant", 2), ("qubits", 3), ("grid", 3), ("trials", 10),
           ("seed", 1), ("out", "missing/out"), ("boundary-out", "boundary-out")])
+# An --out whose name is not UTF-8 (the byte 0xff).
+@example(["trace", ("qubits", 3), ("target", 1), ("iterations", 2),
+          ("out", "\udcff.csv")])
 @settings(max_examples=200, deadline=None)
 def test_exit_code_is_0_1_or_2(invocation):
     command, options = invocation[0], invocation[1:]

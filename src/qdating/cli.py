@@ -30,7 +30,6 @@ from .experiment import (
     stats_csv_row,
     sweep_csv,
     trace_csv,
-    write_text,
 )
 from .game import (
     ClassicStrategy,
@@ -113,6 +112,13 @@ def write_manifest(args: argparse.Namespace) -> str:
             fields[key] = value
     lines = [f"{key}={value}" for key, value in fields.items()]
     return "\n".join(lines) + "\n"
+
+
+# ``perfbench/tracing.py`` replaces this attribute to count written bytes
+# from ``text``, so ``write_outputs`` looks it up here on every call.
+def write_text(path, text: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
@@ -345,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (QDatingError, OSError, UnicodeDecodeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A MemoryError raised by Python itself carries no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

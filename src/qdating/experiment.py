@@ -13,9 +13,10 @@ Only what draws or builds an array imports numpy, inside the function:
 ``amplitude_trace`` and the CSV emitters need only the numpy-free
 ``qdating.kernel``, so ``trace`` never loads it.
 
-Outputs are plot-ready CSV only.  Every float is printed with 12
-significant digits and rows end with a bare newline, so a rerun with the
-same inputs is byte-identical.
+Outputs are plot-ready CSV text only, returned as strings; ``qdating.cli``
+writes every file.  Every float is printed with 12 significant digits and
+rows end with a bare newline, so a rerun with the same inputs is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ class SweepTable:
     measured: np.ndarray  # G x G measured D/T
     trials: int
 
+    # The cell count.  Only tests and ``perfbench/tracing.py`` call it: the
+    # tracer counts a sweep's cells as ``len()`` of ``run_sweep``'s result.
     def __len__(self) -> int:
         return self.measured.size
 
@@ -252,8 +255,3 @@ def stats_csv_row(cfg: GameConfig, woman: WomanProfile, stats: GameStats) -> str
             str(cfg.seed),
         ]
     )
-
-
-def write_text(path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)

@@ -97,6 +97,8 @@ class GameConfig:
     def N(self) -> int:
         return 2**self.n_qubits
 
+    # ``perfbench/tracing.py`` reads this and ``trials`` from ``run_match``'s
+    # first argument, ``cfg``, to count the turns and attempts of a match.
     @property
     def classic_attempts_per_turn(self) -> int:
         """C's attempts per turn: 1 in game 1, N/2 in game 2."""

@@ -5,9 +5,10 @@ equal, so ``grover_amplitudes`` iterates the pair (target, each other) in
 O(1) per step with no oracle.  ``closed_form_probability``,
 sin^2((2k+1) * arcsin(1/sqrt(N))) (Boyer, Brassard, Hoyer and Tapp 1998),
 is its independent judge.  Nothing here needs numpy, so ``trace``,
-``analytic`` and a ``GameConfig`` do not load it; ``statevector``
-re-exports every name.  ``n_qubits = 0`` (N = 1) is accepted so the game
-layer can model the one-woman market; the iterate is then a global phase.
+``analytic`` and a ``GameConfig`` do not load it.  This module is the one
+home of these names; the other modules import them from here.
+``n_qubits = 0`` (N = 1) is accepted so the game layer can model the
+one-woman market; the iterate is then a global phase.
 """
 
 from __future__ import annotations

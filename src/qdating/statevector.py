@@ -8,11 +8,8 @@ on the whole vector.  ``run_grover`` builds the vector once from the
 pair kernel of ``qdating.kernel``, placing the oracle's target, and
 ``measure`` collapses a state.  A dense-matrix pipeline for small
 registers is the kernel's second independent cross-check, beside the
-closed form.
-
-The kernel's names (the register, target and iterate-count rules, the
-pair kernel, the closed form and ``optimal_iterations``) live in
-``qdating.kernel``, which needs no numpy; this module re-exports them.
+closed form.  The kernel's names are not re-exported here: import them
+from ``qdating.kernel`` or the package.
 """
 
 from __future__ import annotations
@@ -32,18 +29,7 @@ from .errors import (
     SizeError,
     StateError,
 )
-from .kernel import (  # noqa: F401  (re-exported)
-    MAX_QUBITS,
-    OracleSpec,
-    check_iterations,
-    check_register,
-    closed_form_probability,
-    final_amplitudes,
-    grover_amplitudes,
-    iteration_bound,
-    optimal_iterations,
-    register_qubits,
-)
+from .kernel import OracleSpec, check_register, final_amplitudes
 
 # Norm drift beyond this raises instead of silently renormalizing, so
 # operator bugs cannot hide behind a cleanup step.
@@ -219,10 +205,8 @@ _H1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def hadamard_matrix(n_qubits: int) -> np.ndarray:
-    """Kronecker power of the one-qubit Hadamard."""
-    if n_qubits == 0:
-        return np.eye(1, dtype=np.complex128)
-    return reduce(np.kron, [_H1] * n_qubits)
+    """Kronecker power of the one-qubit Hadamard; the 1 x 1 identity at n = 0."""
+    return reduce(np.kron, [_H1] * n_qubits, np.eye(1, dtype=np.complex128))
 
 
 def oracle_matrix(oracle: OracleSpec) -> np.ndarray:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SweepExhaustedError
-from .statevector import OracleSpec, measure, run_grover
+from .kernel import OracleSpec
+from .statevector import measure, run_grover
 
 
 @dataclass

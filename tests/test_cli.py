@@ -124,6 +124,16 @@ class TestGame:
         assert row[4] == str(10**13)
         assert 0 < int(row[5]) < 10**13 and 0 < int(row[6]) < 10**13
 
+    def test_largest_trials(self, capsys):
+        # numpy's binomial draw takes at most 2**63 - 1 turns; that many is played.
+        code, out, _ = run_cli(
+            capsys,
+            "game", "--variant", "1", "--qubits", "3", "--pc", "0.5",
+            "--pq", "0.5", "--seed", "1", f"--trials={2**63 - 1}",
+        )
+        assert code == 0
+        assert out.strip().split(",")[4] == str(2**63 - 1)
+
     def test_probability_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -198,6 +208,9 @@ class TestSweep:
             p_c, p_q, _, expected, _ = line.split(",")
             if float(p_c) <= 6.25 * float(p_q):
                 assert float(expected) >= -1e-12
+
+    def test_grid_cap_is_the_documented_one(self):
+        assert MAX_GRID_POINTS == 1001
 
     @pytest.mark.parametrize(
         "grid", [1, MAX_GRID_POINTS + 1, 100_000], ids=["1", "cap+1", "100000"]
@@ -578,6 +591,23 @@ class TestManifestRoundTrip:
         assert cli.main(["rerun", "--manifest", str(out) + ".manifest"]) == 0
         assert calls == {"build_parser": 1, "main": 1}
 
+    def test_blank_lines_between_keys_replay(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        manifest = tmp_path / "sweep.csv.manifest"
+        run_cli(
+            capsys,
+            "sweep", "--variant", "1", "--qubits", "2", "--grid", "3",
+            "--trials", "20", "--seed", "5", "--out", str(out),
+        )
+        first, first_manifest = out.read_bytes(), manifest.read_bytes()
+        spaced = tmp_path / "spaced.manifest"
+        spaced.write_text(manifest.read_text().replace("\n", "\n\n"))
+        out.unlink()
+        code, _, _ = run_cli(capsys, "rerun", "--manifest", str(spaced))
+        assert code == 0
+        assert out.read_bytes() == first
+        assert manifest.read_bytes() == first_manifest
+
     @pytest.mark.parametrize(
         "case, code",
         [
@@ -591,6 +621,7 @@ class TestManifestRoundTrip:
             ("unknown_command", 1),
             ("target_out_of_range", 1),
             ("repeated_key", 1),
+            ("no_equals_sign", 1),
         ],
     )
     def test_malformed_manifest(self, tmp_path, capsys, case, code):
@@ -623,6 +654,8 @@ class TestManifestRoundTrip:
                      for line in lines]
         elif case == "repeated_key":
             lines = lines + ["iterations=1"]
+        elif case == "no_equals_sign":
+            lines = lines + ["iterations 1"]
         else:
             lines = ["command=frobnicate" if line.startswith("command=") else line
                      for line in lines]
@@ -633,6 +666,8 @@ class TestManifestRoundTrip:
         error_lines = [line for line in err.splitlines() if "error:" in line]
         assert len(error_lines) == 1
         assert err.rstrip("\n").splitlines()[-1] == error_lines[0]
+        if case == "no_equals_sign":
+            assert error_lines == ["error: malformed manifest line: 'iterations 1'"]
 
 
 class TestGoldenBytes:

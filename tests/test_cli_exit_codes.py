@@ -17,7 +17,10 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -144,3 +147,42 @@ def test_oversized_inputs_exit_1(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="needs RLIMIT_AS to bound the address space"
+)
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
+    """A sweep that runs out of memory says so in one line and writes nothing.
+
+    Under a 160 MiB address-space limit on the child alone, numpy and a
+    21 x 21 sweep fit, but the text of a grid-cap sweep (38 MB, held as row
+    chunks and joined) does not.  On a 2-core Xeon VM (Python 3.11.7, numpy
+    2.4.6) numpy failed to load at 100 MiB, and the grid-cap sweep ran to
+    the end at 250 MiB.
+    """
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    results = {}
+    for grid in (21, MAX_GRID_POINTS):
+        out = tmp_path / str(grid)
+        out.mkdir()
+        results[grid] = subprocess.run(
+            [sys.executable, "-m", "qdating", "sweep", "--variant", "2",
+             "--qubits", "3", f"--grid={grid}", "--trials", "1000", "--seed", "1",
+             "--out", str(out / "s.csv")],
+            env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+            timeout=120,
+        )
+    control, capped = results[21], results[MAX_GRID_POINTS]
+    assert control.returncode == 0, control.stderr
+    assert capped.returncode == 1, capped.stderr
+    (line,) = capped.stderr.splitlines()
+    assert line.startswith("error: ") and line[len("error: "):].strip()
+    assert list((tmp_path / str(MAX_GRID_POINTS)).iterdir()) == []

@@ -28,7 +28,7 @@ from qdating.experiment import (
     trace_csv,
 )
 from qdating.game import turn_rates
-from qdating.statevector import final_amplitudes
+from qdating.kernel import final_amplitudes
 
 
 class TestAmplitudeTrace:

@@ -33,13 +33,13 @@ from qdating import (
     success_probability,
     uniform_superposition,
 )
-from qdating.statevector import (
+from qdating.kernel import (
     MAX_QUBITS,
-    basis_state,
     final_amplitudes,
     grover_amplitudes,
     iteration_bound,
 )
+from qdating.statevector import basis_state
 
 TABLE1 = FeatureTable({0: "a", 1: "b", 2: "c", 3: "d"})
 
@@ -123,6 +123,23 @@ class TestFeatureTable:
         path.write_text("index,feature\n0,a\none,b\n")
         with pytest.raises(MalformedTableError):
             FeatureTable.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("", "empty"), ("0,a,x\n1,b\n", "malformed row"),
+         ("0,a\n0,b\n", "duplicate index")],
+        ids=["header-only", "three-columns", "repeated-index"],
+    )
+    def test_from_csv_rejects(self, tmp_path, rows, message):
+        path = tmp_path / "women.csv"
+        path.write_text("index,feature\n" + rows)
+        with pytest.raises(MalformedTableError, match=message):
+            FeatureTable.from_csv(path)
+
+    def test_from_csv_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "women.csv"
+        path.write_text("index,feature\n0,a\n\n1,b\n\n")
+        assert FeatureTable.from_csv(path).entries == {0: "a", 1: "b"}
 
 
 class TestOracle:
@@ -251,6 +268,16 @@ class TestMeasure:
         with pytest.raises(StateError):
             measure(state, np.random.default_rng(0))
 
+    def test_norm_tolerance(self):
+        # NORM_TOLERANCE is 1e-6: a drift of 1e-4 is refused, one of 1e-9 is not.
+        def state(norm):
+            return QuantumState(1, [norm / math.sqrt(2)] * 2)
+
+        assert state(1 + 1e-4).norm() == pytest.approx(1 + 1e-4, abs=1e-12)
+        with pytest.raises(StateError):
+            measure(state(1 + 1e-4), np.random.default_rng(0))
+        assert measure(state(1 + 1e-9), np.random.default_rng(0)) in (0, 1)
+
     def test_does_not_mutate(self):
         state = uniform_superposition(2)
         before = state.amplitudes.copy()
@@ -368,7 +395,7 @@ class TestInvariants:
                         closed_form_probability(N, k), abs=1e-10
                     )
 
-    @pytest.mark.parametrize("n_qubits", range(1, 5))
+    @pytest.mark.parametrize("n_qubits", range(0, 5))
     def test_dense_matrix_equivalence(self, n_qubits):
         rng = np.random.default_rng(100 + n_qubits)
         for target in rng.integers(0, 2**n_qubits, size=3):
@@ -379,6 +406,10 @@ class TestInvariants:
                 np.testing.assert_allclose(
                     fast.amplitudes, dense.amplitudes, atol=1e-12
                 )
+
+    def test_dense_pipeline_capped_at_four_qubits(self):
+        with pytest.raises(SizeError, match="dense pipeline"):
+            run_grover_dense(5, OracleSpec(0, 5), 1)
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 5])
     def test_non_target_symmetry(self, n_qubits):
@@ -467,3 +498,4 @@ class TestGroverKernel:
             run_grover(3, OracleSpec(0, 2), 1)
         with pytest.raises(DimensionError):
             run_grover_dense(3, OracleSpec(0, 2), 1)
+

@@ -20,7 +20,6 @@ import sys
 from . import __version__
 from .errors import ConfigurationError, QDatingError
 from .experiment import (
-    ENGINE,
     SweepSpec,
     amplitude_trace,
     boundary_csv,
@@ -32,6 +31,7 @@ from .experiment import (
     trace_csv,
 )
 from .game import (
+    ENGINE,
     ClassicStrategy,
     GameConfig,
     GameVariant,
@@ -350,9 +350,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (QDatingError, OSError, UnicodeDecodeError, MemoryError) as exc:
-        # A MemoryError raised by Python itself carries no message.
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    except (QDatingError, OSError, UnicodeDecodeError, MemoryError, ImportError) as exc:
+        # Python's MemoryError has no message; numpy's ImportError ends with its cause.
+        lines = str(exc).strip().splitlines() or [type(exc).__name__]
+        print(f"error: {lines[-1]}", file=sys.stderr)
         return 1
 
 

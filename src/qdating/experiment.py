@@ -2,14 +2,13 @@
 
 C's rate depends on P_c alone and Q's on P_q alone, so a sweep computes
 one C column and one Q row; each grid row is then one binomial call on
-the row's own Philox stream, so rows are independent of each other.  A
-sweep builds one Philox and sets its counter to each row's stream in
-turn.  Its ``SweepTable`` holds C's column, Q's row and the measured
-D/T, its one G x G array; a cell's expected D/T is Q's rate minus C's,
-worked out where it is used.
+the row's own Philox stream (``qdating.game.row_streams``), so rows are
+independent of each other.  Its ``SweepTable`` holds C's column, Q's row
+and the measured D/T, its one G x G array; a cell's expected D/T is Q's
+rate minus C's, worked out where it is used.
 
 Only what draws or builds an array imports numpy, inside the function:
-``SweepSpec.grid``, ``row_streams``, ``run_sweep`` and ``sign_boundary``.
+``SweepSpec.grid``, ``run_sweep`` and ``sign_boundary``.
 ``amplitude_trace`` and the CSV emitters need only the numpy-free
 ``qdating.kernel``, so ``trace`` never loads it.
 
@@ -22,10 +21,12 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
-from .game import GameConfig, GameStats, WomanProfile, classic_rate, quantum_rate
+from .game import (
+    GameConfig, GameStats, WomanProfile, classic_rate, quantum_rate, row_streams,
+)
 from .kernel import (
     OracleSpec,
     closed_form_probability,
@@ -116,48 +117,15 @@ def amplitude_trace(
     ]
 
 
-# Tag of the engine, written into every manifest.  Bump it whenever any
-# output byte changes, so ``rerun`` refuses manifests it no longer reproduces.
-ENGINE = "philox-row-1"
-
-
-def row_streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """Sweep rows' counter-based streams, all drawn from one Philox.
-
-    Row i's stream is ``Philox(key=seed, counter=i << 192)``: the row sits
-    in the high counter word and draws advance the low ones, so no two
-    rows' streams overlap.  The returned ``row_rng(i)`` sets the one
-    generator's counter to ``i << 192`` and empties its buffer, which costs
-    far less than building a new Philox.  So row i draws the same numbers
-    whichever rows were drawn before it, and rows can be drawn in any
-    order.  Every call returns the same generator, so a row's draws end
-    before the next row is asked for.
-    """
-    import numpy as np
-
-    bit_generator = np.random.Philox(key=seed)
-    rng = np.random.Generator(bit_generator)
-    start = bit_generator.state  # counter 0, nothing buffered
-    counter = start["state"]["counter"]
-
-    def row_rng(i: int) -> np.random.Generator:
-        counter[3] = i
-        bit_generator.state = start
-        return rng
-
-    return row_rng
-
-
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """One match per grid cell, drawn a row at a time.
 
     C's rate is computed once per P_c and Q's once per P_q, with Q's find
     probability the kernel's a_t**2 for the draws and the closed form for
-    the table's ``q_rate``, as in ``run_match`` and ``expected_dt``.  One
-    Philox serves the sweep: row i's 2 x G binomial draw (C's then Q's
-    successes) comes from ``row_rng(i)`` of ``row_streams(seed)``, the
-    generator with its counter set to ``i << 192``.  The target is always
-    index 0, which every register holds.
+    the table's ``q_rate``, as in ``run_match`` and ``expected_dt``.  Row
+    i's 2 x G binomial draw (C's then Q's successes) is row i of
+    ``row_streams(seed)``.  The target is always index 0, which every
+    register holds.
     """
     import numpy as np
 

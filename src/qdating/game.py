@@ -12,16 +12,16 @@ Success flags are counted independently per turn (both players may succeed
 in the same turn), and the headline statistic over T turns is
 ``d_over_t = (Q successes - C successes) / T``.
 
-Only ``run_match`` draws, and it imports numpy when it builds its own
-generator; the configuration types, the rates and ``expected_dt`` need
-only the numpy-free ``qdating.kernel``.
+Every draw comes from ``row_streams``, which imports numpy; the
+configuration types, the rates and ``expected_dt`` need only the
+numpy-free ``qdating.kernel``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError
 from .kernel import (
@@ -105,6 +105,38 @@ class GameConfig:
         return 1 if self.variant == GameVariant.GAME1 else self.N // 2
 
 
+# The tag of every draw's stream, in every manifest.  Bump it when a manifest's
+# bytes or the pinned ``game`` row change: ``rerun`` refuses any other tag.
+ENGINE = "philox-row-1"
+
+
+def row_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """The counter-based streams of every draw, all from one Philox.
+
+    Row i's stream is ``Philox(key=seed, counter=i << 192)``: a sweep's
+    row i draws from it, and a match from row 0.  The row sits in the high
+    counter word and draws advance the low ones, so no two rows' streams
+    overlap.  The returned ``row_rng(i)`` sets the one generator's counter
+    to ``i << 192`` and empties its buffer, which costs far less than
+    building a new Philox.  So row i draws the same numbers whichever rows
+    were drawn before it, in any order.  Every call returns the same
+    generator, so a row's draws end before the next row is asked for.
+    """
+    import numpy as np
+
+    bit_generator = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_generator)
+    start = bit_generator.state  # counter 0, nothing buffered
+    counter = start["state"]["counter"]
+
+    def row_rng(i: int) -> np.random.Generator:
+        counter[3] = i
+        bit_generator.state = start
+        return rng
+
+    return row_rng
+
+
 @dataclass(frozen=True)
 class GameStats:
     q_successes: int
@@ -154,14 +186,13 @@ def run_match(
     turns at its ``turn_rates``.  Q's find probability is the Grover
     kernel's a_t**2, not the closed form, so ``expected_dt`` still judges
     it.  Memory and cost do not grow with T or N; results are a pure
-    function of (config, profile, rng stream).
+    function of (config, profile, rng stream), by default row 0 of
+    ``row_streams(cfg.seed)``.
     """
     a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
     q, c = turn_rates(cfg, woman, a_t * a_t)  # checks the target before any draw
     if rng is None:
-        from numpy.random import default_rng
-
-        rng = default_rng(cfg.seed)
+        rng = row_streams(cfg.seed)(0)
     c_successes, q_successes = rng.binomial(cfg.trials, [c, q])
     return GameStats(
         q_successes=int(q_successes), c_successes=int(c_successes), trials=cfg.trials

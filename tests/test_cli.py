@@ -6,7 +6,8 @@ import pytest
 
 from qdating import cli
 from qdating.cli import main, read_manifest
-from qdating.experiment import ENGINE, MAX_GRID_POINTS
+from qdating.experiment import MAX_GRID_POINTS
+from qdating.game import ENGINE
 
 
 def run_cli(capsys, *argv):
@@ -671,11 +672,15 @@ class TestManifestRoundTrip:
 
 
 class TestGoldenBytes:
-    """The README's paper figures, byte for byte.
+    """The README's paper figures and ``game`` row, byte for byte.
 
-    These digests change only together with ``ENGINE``.  The drawn
-    ``d_over_t`` column is left out of the sweep digests: it is pinned to
-    numpy's own draws by ``test_plays_the_config_as_given``.
+    These digests change only together with ``ENGINE``.  ``FIG4`` and
+    ``FIG5`` leave out the drawn ``d_over_t`` column, so they judge the
+    closed form alone.  ``FIG4_DRAWN``, ``FIG5_DRAWN`` and ``GAME`` hold the
+    draws too: a numpy whose Philox or binomial changes the stream fails
+    ``test_sweep_draws`` and ``test_game_row``, and
+    ``test_raw_words_match_the_reference_philox`` then says whether the raw
+    Philox words changed.
     """
 
     FIG3 = "60a6c78481111af5c7048c88252a9a13d76cf80340da119cfd6a20cd3cda1cb0"
@@ -683,6 +688,11 @@ class TestGoldenBytes:
     # p_c,p_q,d_over_t_expected,trials
     FIG4 = "f99a6ce1eb39221716f61d29f8c9a0696f6bb6a268e746095c67f03ad6809342"
     FIG5 = "01a9ccb999ee98541ba89f63649e3170a067d6db7359d5e19385f37495c25a64"
+    # every column, d_over_t included
+    FIG4_DRAWN = "50cf6a7a9e1b4ba931a53254ddae5473b736d850acfa577c9b9f2d311ed3ef79"
+    FIG5_DRAWN = "e895fa46521152c3d2eb9fe0ff6ec0e8daca31f878cb960f60eb8f5e16288173"
+    # stdout of game --variant 1 --qubits 3 --pc 0.8 --pq 0.3 --trials 1000 --seed 1
+    GAME = "a9523d3fe617da95a9ecdfb520af9f4f067634df46a0ef2cf521a232fb0677db"
 
     @staticmethod
     def digest(data: bytes) -> str:
@@ -719,3 +729,24 @@ class TestGoldenBytes:
         assert self.digest(self.closed_form_columns(out)) == golden
         if boundary:
             assert self.digest(bout.read_bytes()) == self.BOUNDARY
+
+    @pytest.mark.parametrize("variant", ["1", "2"])
+    def test_sweep_draws(self, tmp_path, capsys, variant):
+        out = tmp_path / f"fig{int(variant) + 3}.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--variant", variant, "--qubits", "3", "--grid", "21",
+            "--trials", "1000", "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        drawn = self.FIG4_DRAWN if variant == "1" else self.FIG5_DRAWN
+        assert self.digest(out.read_bytes()) == drawn
+
+    def test_game_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "game", "--variant", "1", "--qubits", "3", "--pc", "0.8", "--pq", "0.3",
+            "--trials", "1000", "--seed", "1",
+        )
+        assert code == 0
+        assert self.digest(out.encode()) == self.GAME

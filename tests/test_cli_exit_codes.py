@@ -17,6 +17,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -149,9 +150,41 @@ def test_oversized_inputs_exit_1(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.skipif(
+SRC = Path(__file__).resolve().parent.parent / "src"
+# One BLAS thread, so that a child's address space does not grow with the cores.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+SWEEP = ["sweep", "--variant", "2", "--qubits", "3", "--trials", "1000", "--seed", "1"]
+needs_rlimit_as = pytest.mark.skipif(
     sys.platform != "linux", reason="needs RLIMIT_AS to bound the address space"
 )
+
+
+def run_limited(argv, limit):
+    """``python -m qdating *argv``, the child's address space capped at ``limit``."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "qdating", *argv], env=CHILD_ENV,
+        preexec_fn=limit_memory, capture_output=True, text=True, timeout=120,
+    )
+
+
+def peak_address_space(module):
+    """The peak address space (``VmPeak``, bytes) of a child that imports ``module``."""
+    code = f"import {module}; print(open('/proc/self/status').read())"
+    status = subprocess.run(
+        [sys.executable, "-c", code],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    (kib,) = re.findall(r"^VmPeak:\s+(\d+) kB$", status, re.MULTILINE)
+    return int(kib) << 10
+
+
+@needs_rlimit_as
 def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
     """A sweep that runs out of memory says so in one line and writes nothing.
 
@@ -161,24 +194,12 @@ def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
     2.4.6) numpy failed to load at 100 MiB, and the grid-cap sweep ran to
     the end at 250 MiB.
     """
-    import resource
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     results = {}
     for grid in (21, MAX_GRID_POINTS):
         out = tmp_path / str(grid)
         out.mkdir()
-        results[grid] = subprocess.run(
-            [sys.executable, "-m", "qdating", "sweep", "--variant", "2",
-             "--qubits", "3", f"--grid={grid}", "--trials", "1000", "--seed", "1",
-             "--out", str(out / "s.csv")],
-            env=env, preexec_fn=limit_memory, capture_output=True, text=True,
-            timeout=120,
+        results[grid] = run_limited(
+            [*SWEEP, f"--grid={grid}", "--out", str(out / "s.csv")], 160 << 20
         )
     control, capped = results[21], results[MAX_GRID_POINTS]
     assert control.returncode == 0, control.stderr
@@ -186,3 +207,39 @@ def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
     (line,) = capped.stderr.splitlines()
     assert line.startswith("error: ") and line[len("error: "):].strip()
     assert list((tmp_path / str(MAX_GRID_POINTS)).iterdir()) == []
+
+
+@needs_rlimit_as
+def test_failed_numpy_import_exits_1_with_one_error_line(tmp_path):
+    """A sweep whose numpy cannot load says so in one line; a trace needs no numpy.
+
+    The limits are measured, not fixed: every whole MiB from the peak
+    address space of a child that imports numpy to that of one that also
+    imports ``numpy.random``, which a sweep loads last.  Which step fails
+    first does not rise with the limit: on a 2-core Xeon VM (Python 3.11.7,
+    numpy 2.4.6) the peaks were 97 and 106 MiB, and a sweep ran out at
+    Python's allocator, at numpy's, or at a shared object that numpy could
+    not map, which raised an ``ImportError`` whose message spans lines, or
+    it ran to the end.  Below that band, at 70 to 90 MiB, OpenBLAS ended the
+    process with its own one-line message.
+    """
+    mib = 1 << 20
+    low, high = map(peak_address_space, ("numpy", "numpy.random"))
+    import_failures = 0
+    for limit in range(-(-low // mib) * mib, high + mib, mib):
+        out = tmp_path / str(limit // mib)
+        out.mkdir()
+        sweep = run_limited([*SWEEP, "--out", str(out / "s.csv")], limit)
+        assert sweep.returncode in (0, 1), (limit, sweep.stderr)
+        assert "Traceback" not in sweep.stderr, limit
+        if sweep.returncode:
+            (line,) = sweep.stderr.splitlines()
+            assert line.startswith("error: ") and line[len("error: "):].strip()
+            assert list(out.iterdir()) == [], limit
+            import_failures += ".so" in line  # a library that could not be mapped
+    assert import_failures, "no limit in the band stopped numpy from loading"
+    trace = run_limited(
+        ["trace", "--qubits", "10", "--target", "7", "--iterations", "30",
+         "--out", str(tmp_path / "t.csv")], low,
+    )
+    assert trace.returncode == 0, trace.stderr

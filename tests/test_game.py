@@ -22,6 +22,8 @@ from qdating import (
     run_match,
 )
 from qdating.experiment import stats_csv_row
+from qdating.game import row_streams, turn_rates
+from qdating.kernel import final_amplitudes
 
 
 def mc_tolerance(trials: int) -> float:
@@ -210,6 +212,17 @@ class TestRunMatch:
         stats = run_match(cfg, WomanProfile(3, 1.0, 1.0))
         assert stats.d_over_t == pytest.approx(
             25 / 32 - 1 / 8, abs=mc_tolerance(cfg.trials)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**128 - 1])
+    def test_draws_from_row_0_of_the_seeds_streams(self, seed):
+        cfg = GameConfig(3, GameVariant.GAME2, trials=1000, seed=seed)
+        woman = WomanProfile(1, 0.4, 0.6)
+        a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
+        q, c = turn_rates(cfg, woman, a_t * a_t)
+        c_successes, q_successes = row_streams(seed)(0).binomial(cfg.trials, [c, q])
+        assert run_match(cfg, woman) == GameStats(
+            q_successes=int(q_successes), c_successes=int(c_successes), trials=cfg.trials
         )
 
     def test_deterministic_bit_for_bit(self):

@@ -7,7 +7,8 @@ turns the arguments back into a command line, which ``main`` parses with
 the parser it already built and runs, so the output is regenerated
 byte-identically; it refuses a manifest from another engine.
 
-Exit codes: 0 success, 1 domain or runtime error, 2 usage error.
+Exit codes: 0 success, 1 domain or runtime error, 2 usage error; 130 or
+143 when SIGINT or SIGTERM stops ``entrypoint``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .errors import ConfigurationError, QDatingError
@@ -115,17 +117,16 @@ def write_manifest(args: argparse.Namespace) -> str:
 
 
 # ``perfbench/tracing.py`` replaces this attribute to count written bytes
-# from ``text``, so ``write_outputs`` looks it up here on every call.
-def write_text(path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+# from ``text``, so ``write_outputs`` looks it up here on every chunk.
+def write_text(fh, text: str) -> None:
+    fh.write(text)
 
 
-def write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
-    """Write each text (keyed by its option's dest) and the manifest, or none."""
-    outputs = {option(key): (getattr(args, key), text)
-               for key, text in texts.items()}
-    outputs["the manifest"] = (args.out + ".manifest", write_manifest(args))
+def write_outputs(args: argparse.Namespace, texts: dict[str, Iterable[str]]) -> None:
+    """Write each text's chunks (keyed by its option's dest) and the manifest, or none."""
+    outputs = {option(key): (getattr(args, key), chunks)
+               for key, chunks in texts.items()}
+    outputs["the manifest"] = (args.out + ".manifest", [write_manifest(args)])
     owners: dict[str, str] = {}  # resolved path -> the output that names it
     for label, (path, _) in outputs.items():
         if owners.setdefault(target := os.path.realpath(path), label) != label:
@@ -134,9 +135,11 @@ def write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
             raise QDatingError(f"output {path!r} is a directory")
     staged: dict[str, str] = {}  # temporary file -> its output as given
     try:
-        for target, (path, text) in zip(owners, outputs.values()):
+        for target, (path, chunks) in zip(owners, outputs.values()):
             staged[tmp := f"{target}.{os.getpid()}.tmp"] = path
-            write_text(tmp, text)
+            with open(tmp, "w", newline="") as fh:
+                for chunk in chunks:
+                    write_text(fh, chunk)
         for tmp, target in zip(staged, owners):
             os.replace(tmp, target)
     except OSError as exc:
@@ -358,7 +361,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """``main`` as a program: SIGINT and SIGTERM end it in one stderr line.
+
+    SIGTERM raises ``KeyboardInterrupt`` as SIGINT does, so ``write_outputs``
+    removes what it staged; the exit code is the shell's 128 + the signal.
+    """
+    import signal
+
+    def stop(signum, frame):
+        raise KeyboardInterrupt(signum)
+
+    signal.signal(signal.SIGTERM, stop)
+    try:
+        code = main()
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print(f"error: stopped by {signal.Signals(signum).name}", file=sys.stderr)
+        code = 128 + signum
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -8,18 +8,20 @@ and the measured D/T, its one G x G array; a cell's expected D/T is Q's
 rate minus C's, worked out where it is used.
 
 Only what draws or builds an array imports numpy, inside the function:
-``SweepSpec.grid``, ``run_sweep`` and ``sign_boundary``.
-``amplitude_trace`` and the CSV emitters need only the numpy-free
+``SweepSpec.grid`` and ``run_sweep``.  ``amplitude_trace``,
+``sign_boundary`` and the CSV emitters need only the numpy-free
 ``qdating.kernel``, so ``trace`` never loads it.
 
-Outputs are plot-ready CSV text only, returned as strings; ``qdating.cli``
-writes every file.  Every float is printed with 12 significant digits and
-rows end with a bare newline, so a rerun with the same inputs is
-byte-identical.
+Outputs are plot-ready CSV text only, yielded in chunks (a sweep's one
+per grid row); ``qdating.cli`` writes every file.  Every float is printed
+with 12 significant digits and rows end with a bare newline, so a rerun
+with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,8 +56,8 @@ class TracePoint:
 
 
 # Largest grid side.  ``run_sweep`` holds one G x G float array, so a side
-# of 1001 (10**6 cells) is 8 MB of table, and the CSV text of ``sweep_csv``
-# (about 38 bytes a cell) is what bounds a sweep's memory.
+# of 1001 (10**6 cells) is 8 MB of table, which bounds a sweep's memory:
+# ``sweep_csv`` yields its text (about 38 bytes a cell) one grid row at a time.
 MAX_GRID_POINTS = 1001
 
 
@@ -85,7 +87,8 @@ class SweepTable:
 
     Cell (i, j) is P_c = grid[i], P_q = grid[j].  Its expected D/T
     (``expected_dt``) is ``q_rate[j] - c_rate[i]``, and its measured D/T is
-    ``measured[i, j]``.
+    ``measured[i, j]``.  ``c_rate`` is non-decreasing, as C's rate rises
+    with P_c, which ``sign_boundary`` needs.
     """
 
     grid: np.ndarray
@@ -152,21 +155,19 @@ def sign_boundary(table: SweepTable) -> list[tuple[float, float]]:
     For each grid P_q > 0, linearly interpolates P_c at the first sign
     change of column j of the expected surface ``q_rate[j] - c_rate[i]``,
     scanning P_c upward; columns with no sign change contribute nothing.
+    ``c_rate`` must be non-decreasing: that change is then where C's rate
+    first reaches Q's, which one bisection of C's column finds.
     """
-    import numpy as np
-
-    grid = table.grid.tolist()
-    d = table.q_rate - table.c_rate[:, None]
-    crossing = (d[:-1] == 0.0) | ((d[:-1] > 0.0) != (d[1:] > 0.0))
+    grid, c = table.grid.tolist(), table.c_rate.tolist()
     boundary = []
-    for j in np.flatnonzero(crossing.any(axis=0)).tolist():
-        if grid[j] <= 0.0:
-            continue
-        i = int(crossing[:, j].argmax())
-        a, b = grid[i], grid[i + 1]
-        d_a, d_b = float(d[i, j]), float(d[i + 1, j])
-        zero = a if d_a == 0.0 else a + (b - a) * d_a / (d_a - d_b)
-        boundary.append((grid[j], zero))
+    for p_q, q in zip(grid[1:], table.q_rate.tolist()[1:]):
+        i = bisect.bisect_left(c, q)  # the first row whose q - c is not > 0
+        if 0 < i < len(c):
+            a, b = grid[i - 1], grid[i]
+            d_a, d_b = q - c[i - 1], q - c[i]
+            boundary.append((p_q, a + (b - a) * d_a / (d_a - d_b)))
+        elif i == 0 and c[0] == q:
+            boundary.append((p_q, grid[0]))
     return boundary
 
 
@@ -177,35 +178,30 @@ SWEEP_HEADER = "p_c,p_q,d_over_t,d_over_t_expected,trials"
 BOUNDARY_HEADER = "p_q,p_c_zero"
 
 
-def trace_csv(points: list[TracePoint]) -> str:
-    lines = [TRACE_HEADER]
+def trace_csv(points: list[TracePoint]) -> Iterator[str]:
+    yield TRACE_HEADER + "\n"
     for p in points:
-        lines.append(
-            f"{p.iteration},{format_float(p.p_target)},"
-            f"{format_float(p.p_other_each)},{format_float(p.amp_target)}"
-        )
-    return "\n".join(lines) + "\n"
+        yield (f"{p.iteration},{format_float(p.p_target)},"
+               f"{format_float(p.p_other_each)},{format_float(p.amp_target)}\n")
 
 
-def sweep_csv(table: SweepTable) -> str:
-    """One line per cell, row-major; a row's lines are joined as they are made."""
+def sweep_csv(table: SweepTable) -> Iterator[str]:
+    """One line per cell, row-major; a grid row's lines make one chunk."""
     axis = [format_float(x) for x in table.grid]
     q_rate = table.q_rate.tolist()
-    chunks = [SWEEP_HEADER + "\n"]
+    yield SWEEP_HEADER + "\n"
     for p_c, c, measured in zip(axis, table.c_rate.tolist(), table.measured):
         # The cell values in ``format_float``'s format.
-        chunks.append("".join(
+        yield "".join(
             f"{p_c},{p_q},{m:.12g},{q - c:.12g},{table.trials}\n"
             for p_q, q, m in zip(axis, q_rate, measured.tolist())
-        ))
-    return "".join(chunks)
+        )
 
 
-def boundary_csv(points: list[tuple[float, float]]) -> str:
-    lines = [BOUNDARY_HEADER]
+def boundary_csv(points: list[tuple[float, float]]) -> Iterator[str]:
+    yield BOUNDARY_HEADER + "\n"
     for p_q, p_c_zero in points:
-        lines.append(f"{format_float(p_q)},{format_float(p_c_zero)}")
-    return "\n".join(lines) + "\n"
+        yield f"{format_float(p_q)},{format_float(p_c_zero)}\n"
 
 
 def stats_csv_row(cfg: GameConfig, woman: WomanProfile, stats: GameStats) -> str:

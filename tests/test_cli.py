@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -213,6 +214,25 @@ class TestSweep:
     def test_grid_cap_is_the_documented_one(self):
         assert MAX_GRID_POINTS == 1001
 
+    def test_memory_at_the_grid_cap(self, tmp_path, capsys):
+        # The table's one G x G array (8 MB) and one grid row of CSV text at
+        # a time: the 38 MB of text is never held whole.
+        import numpy  # noqa: F401  (its import is not the sweep's memory)
+
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "sweep", "--variant", "2", "--qubits", "3",
+                "--grid", str(MAX_GRID_POINTS), "--trials", "10", "--seed", "1",
+                "--out", str(tmp_path / "s.csv"), "--boundary-out", str(tmp_path / "b.csv"),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert (tmp_path / "s.csv").stat().st_size > 30 * 2**20
+        assert peak < 12 * 2**20
+
     @pytest.mark.parametrize(
         "grid", [1, MAX_GRID_POINTS + 1, 100_000], ids=["1", "cap+1", "100000"]
     )
@@ -346,20 +366,42 @@ class TestOutputs:
         # A manifest naming the same files, whose run would change all three.
         edited = tmp_path / "edited.manifest"
         edited.write_text(manifest.read_text().replace("grid=6", "grid=5"))
-        real_write_text, calls = cli.write_text, []
+        real_write_text, files = cli.write_text, []
 
-        def fail_on_second_call(path, text):
-            calls.append(path)
-            if len(calls) == 2:
+        def fail_on_the_second_file(fh, text):
+            if fh.name not in files:
+                files.append(fh.name)
+            if len(files) == 2:  # the first chunk of the second output
                 raise OSError("disk full")
-            real_write_text(path, text)
+            real_write_text(fh, text)
 
-        monkeypatch.setattr(cli, "write_text", fail_on_second_call)
+        monkeypatch.setattr(cli, "write_text", fail_on_the_second_file)
         code, _, err = run_cli(capsys, "rerun", "--manifest", str(edited))
         assert code == 1
         assert err == "error: disk full\n"
         assert {path: path.read_bytes() for path in before} == before
         assert sorted(tmp_path.iterdir()) == sorted([*before, edited])
+
+    def test_chunk_source_that_raises_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        out, bout = tmp_path / "fig5.csv", tmp_path / "b.csv"
+        outputs = ("--out", str(out), "--boundary-out", str(bout))
+        assert run_cli(capsys, *self.SWEEP, "--grid", "6", *outputs)[0] == 0
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        real_boundary_csv = cli.boundary_csv
+
+        def fail_half_way(points):
+            chunks = real_boundary_csv(points)
+            yield next(chunks)
+            yield next(chunks)
+            raise MemoryError
+
+        # A run that would change both files; the sweep's text is staged
+        # whole before the boundary's source fails.
+        monkeypatch.setattr(cli, "boundary_csv", fail_half_way)
+        code, _, err = run_cli(capsys, *self.SWEEP, "--grid", "5", *outputs)
+        assert code == 1
+        assert err == "error: MemoryError\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_out_through_symlink_writes_its_target(self, tmp_path, capsys):
         (tmp_path / "d").mkdir()

@@ -18,9 +18,11 @@ import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -173,11 +175,11 @@ def run_limited(argv, limit):
     )
 
 
-def peak_address_space(module):
-    """The peak address space (``VmPeak``, bytes) of a child that imports ``module``."""
-    code = f"import {module}; print(open('/proc/self/status').read())"
+def peak_address_space(statement, *argv):
+    """The peak address space (``VmPeak``, bytes) of a child that runs ``statement``."""
+    code = f"{statement}\nprint(open('/proc/self/status').read())"
     status = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *argv],
         env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     (kib,) = re.findall(r"^VmPeak:\s+(\d+) kB$", status, re.MULTILINE)
@@ -188,25 +190,45 @@ def peak_address_space(module):
 def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
     """A sweep that runs out of memory says so in one line and writes nothing.
 
-    Under a 160 MiB address-space limit on the child alone, numpy and a
-    21 x 21 sweep fit, but the text of a grid-cap sweep (38 MB, held as row
-    chunks and joined) does not.  On a 2-core Xeon VM (Python 3.11.7, numpy
-    2.4.6) numpy failed to load at 100 MiB, and the grid-cap sweep ran to
-    the end at 250 MiB.
+    A grid-cap sweep holds its 8 MB table and one grid row of text, so its
+    peak address space is only a few MiB above a 21 x 21 sweep's.  The
+    limits are measured, not fixed: each whole MiB below the grid-cap
+    sweep's peak, going down, until one stops it after numpy has loaded
+    (its line names no shared object) and lets the 21 x 21 sweep run.  The
+    outcome does not fall with the limit: on a 2-core Xeon VM (Python
+    3.11.7, numpy 2.4.6) the peaks were 107.0 and 115.4 MiB, and the grid-cap
+    sweep ran to the end at 111, 112 and 115 MiB, failed to map a numpy
+    ``.so`` at 107 to 109 and 114 MiB, and ran out after numpy loaded at 110
+    and 113 MiB.
     """
-    results = {}
-    for grid in (21, MAX_GRID_POINTS):
-        out = tmp_path / str(grid)
+    mib = 1 << 20
+    run = "import sys\nfrom qdating.cli import main\nmain(sys.argv[1:])"
+    measured = str(tmp_path / "measured.csv")
+    low, high = (
+        peak_address_space(run, *SWEEP, f"--grid={grid}", "--out", measured)
+        for grid in (21, MAX_GRID_POINTS)
+    )
+    assert high - low >= 4 * mib
+    for limit in range(high // mib * mib - mib, low, -mib):
+        out = tmp_path / str(limit // mib)
         out.mkdir()
-        results[grid] = run_limited(
-            [*SWEEP, f"--grid={grid}", "--out", str(out / "s.csv")], 160 << 20
+        capped = run_limited(
+            [*SWEEP, f"--grid={MAX_GRID_POINTS}", "--out", str(out / "s.csv")], limit
         )
-    control, capped = results[21], results[MAX_GRID_POINTS]
-    assert control.returncode == 0, control.stderr
-    assert capped.returncode == 1, capped.stderr
-    (line,) = capped.stderr.splitlines()
-    assert line.startswith("error: ") and line[len("error: "):].strip()
-    assert list((tmp_path / str(MAX_GRID_POINTS)).iterdir()) == []
+        assert capped.returncode in (0, 1), (limit, capped.stderr)
+        assert "Traceback" not in capped.stderr, limit
+        if capped.returncode == 0:
+            continue
+        (line,) = capped.stderr.splitlines()
+        assert line.startswith("error: ") and line[len("error: "):].strip()
+        assert list(out.iterdir()) == [], limit
+        if ".so" in line:  # numpy itself did not load
+            continue
+        control = run_limited([*SWEEP, "--grid=21", "--out", str(out / "s.csv")], limit)
+        if control.returncode == 0:
+            break
+    else:
+        pytest.fail("no limit stopped the grid-cap sweep alone")
 
 
 @needs_rlimit_as
@@ -224,7 +246,7 @@ def test_failed_numpy_import_exits_1_with_one_error_line(tmp_path):
     process with its own one-line message.
     """
     mib = 1 << 20
-    low, high = map(peak_address_space, ("numpy", "numpy.random"))
+    low, high = (peak_address_space(f"import {module}") for module in ("numpy", "numpy.random"))
     import_failures = 0
     for limit in range(-(-low // mib) * mib, high + mib, mib):
         out = tmp_path / str(limit // mib)
@@ -243,3 +265,48 @@ def test_failed_numpy_import_exits_1_with_one_error_line(tmp_path):
          "--out", str(tmp_path / "t.csv")], low,
     )
     assert trace.returncode == 0, trace.stderr
+
+
+# ``entrypoint`` with every chunk's write slowed, so that a signal lands mid-write.
+SLOW_WRITE = """
+import time
+from qdating import cli
+write_text = cli.write_text
+def slow_write_text(fh, text):
+    write_text(fh, text)
+    time.sleep(0.5)
+cli.write_text = slow_write_text
+cli.entrypoint()
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX signals")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+def test_signal_mid_write_exits_with_one_line_and_leaves_no_file(tmp_path, signum):
+    """SIGTERM or SIGINT while a sweep's files are staged: one line, exit 128 + n.
+
+    The earlier run's file stays as it was, and no temporary file is left.
+    """
+    (tmp_path / "s.csv").write_text("earlier\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    child = subprocess.Popen(
+        [sys.executable, "-c", SLOW_WRITE, *SWEEP, "--grid=21",
+         "--out", str(tmp_path / "s.csv"), "--boundary-out", str(tmp_path / "b.csv")],
+        env=CHILD_ENV, stderr=subprocess.PIPE, text=True,
+        # A SIGINT that this process ignores would be ignored by the child too.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("*.tmp")):
+            assert child.poll() is None, child.stderr.read()
+            assert time.monotonic() < deadline, "no temporary file appeared"
+            time.sleep(0.01)
+        child.send_signal(signum)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 128 + signum, err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: stopped by {signal.Signals(signum).name}"]
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before

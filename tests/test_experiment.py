@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from qdating import (
     run_sweep,
     sign_boundary,
 )
+from qdating import experiment
 from qdating.experiment import (
     MAX_GRID_POINTS,
     boundary_csv,
@@ -28,7 +31,7 @@ from qdating.experiment import (
     sweep_csv,
     trace_csv,
 )
-from qdating.game import row_streams, turn_rates
+from qdating.game import quantum_rate, row_streams, turn_rates
 from qdating.kernel import final_amplitudes
 
 
@@ -119,6 +122,29 @@ class TestRowRng:
             raw = row_streams(seed)(row).bit_generator.random_raw(n).tolist()
             assert raw == reference_rng.random_raw(seed, row << 192, n), (seed, row, n)
 
+    @pytest.mark.parametrize("trials", [5, 20, 30])
+    @pytest.mark.parametrize("n_qubits", [1, 3, 6])
+    @pytest.mark.parametrize("variant", [GameVariant.GAME1, GameVariant.GAME2])
+    def test_sweep_rows_match_the_reference_binomial(self, variant, n_qubits, trials):
+        """Whole sweep rows, every cell drawn by numpy's CDF inversion (T <= 30).
+
+        The inversion starts from ``exp(T log(1 - p))``, so the match rests
+        on this platform's libm ``exp`` and ``log`` giving numpy's C code
+        and Python's ``math`` the same doubles, which one libm does.  Where
+        a last ulp differs, a draw that falls within it of a CDF step lands
+        one success off, and the assertion names the first row that differs.
+        """
+        cfg = GameConfig(n_qubits, variant, trials=trials, seed=trials * n_qubits)
+        table = run_sweep(SweepSpec(cfg, grid_points=21))
+        a_t, _ = final_amplitudes(n_qubits, cfg.quantum_iterations)
+        q_rate = quantum_rate(a_t * a_t, table.grid).tolist()
+        for i, c in enumerate(table.c_rate.tolist()):
+            draws = reference_rng.doubles(cfg.seed, i << 192)
+            c_wins = [reference_rng.binomial(draws, trials, c) for _ in q_rate]
+            q_wins = [reference_rng.binomial(draws, trials, q) for q in q_rate]
+            measured = [(q - c) / trials for q, c in zip(q_wins, c_wins)]
+            assert measured == table.measured[i].tolist(), i
+
     def test_game_stream_matches_the_reference_philox(self):
         # The README's ``game --seed 1`` draws from row 0 at seed 1.
         raw = row_streams(1)(0).bit_generator.random_raw(9).tolist()
@@ -146,6 +172,26 @@ def expected_surface(table):
     return table.q_rate - table.c_rate[:, None]
 
 
+def scan_boundary(table):
+    """``sign_boundary`` by a scan of the whole G x G expected surface.
+
+    It needs no order in C's column, so it judges the bisection.
+    """
+    grid = table.grid.tolist()
+    d = expected_surface(table)
+    crossing = (d[:-1] == 0.0) | ((d[:-1] > 0.0) != (d[1:] > 0.0))
+    boundary = []
+    for j in np.flatnonzero(crossing.any(axis=0)).tolist():
+        if grid[j] <= 0.0:
+            continue
+        i = int(crossing[:, j].argmax())
+        a, b = grid[i], grid[i + 1]
+        d_a, d_b = float(d[i, j]), float(d[i + 1, j])
+        zero = a if d_a == 0.0 else a + (b - a) * d_a / (d_a - d_b)
+        boundary.append((grid[j], zero))
+    return boundary
+
+
 def exact_contour(cfg, p_q):
     """P_c where q = c, so the expected D/T is 0, in closed form."""
     p_g = closed_form_probability(cfg.N, cfg.quantum_iterations)
@@ -163,7 +209,7 @@ class TestRunSweep:
         assert table.measured.shape == (5, 5)
         assert table.c_rate.shape == table.q_rate.shape == (5,)
         np.testing.assert_array_equal(table.grid, np.linspace(0, 1, 5))
-        lines = sweep_csv(table).splitlines()[1:]
+        lines = "".join(sweep_csv(table)).splitlines()[1:]
         assert [line.split(",")[:2] for line in lines] == [
             [format_float(pc), format_float(pq)] for _, _, pc, pq in cells(table)
         ]
@@ -186,7 +232,7 @@ class TestRunSweep:
 
     def test_byte_identical_reproduction(self):
         spec = SweepSpec(GameConfig(3, GameVariant.GAME2, trials=200, seed=5), grid_points=6)
-        assert sweep_csv(run_sweep(spec)) == sweep_csv(run_sweep(spec))
+        assert "".join(sweep_csv(run_sweep(spec))) == "".join(sweep_csv(run_sweep(spec)))
 
     def test_measured_tracks_expected(self):
         trials = 20_000
@@ -332,6 +378,41 @@ class TestSignBoundary:
             elif exact_contour(cfg, p_q) > 1.0 + 1e-9:
                 assert p_q not in boundary
 
+    def test_bisection_matches_the_full_scan(self, monkeypatch):
+        # ``sign_boundary`` bisects C's column, which needs it non-decreasing
+        # as floats.  Every register, game, strategy and small k, at sizes up
+        # to the grid cap.  Only the rates matter here, so the stubbed draw
+        # returns them.
+        rates = types.SimpleNamespace(binomial=lambda n, p: p)
+        monkeypatch.setattr(experiment, "row_streams", lambda seed: lambda i: rates)
+        configs = [
+            (GameConfig(n_qubits, variant, trials=1, quantum_iterations=k,
+                        classic_strategy=strategy), grid_points)
+            for n_qubits in range(21)
+            for variant in GameVariant
+            if variant == GameVariant.GAME1 or n_qubits
+            for strategy in ClassicStrategy
+            for k in range(3)
+            for grid_points in (2, 3, 21, 101, MAX_GRID_POINTS)
+        ]
+        assert len(configs) == 1230
+        # The edge cases: C's rate equal to Q's at P_c = 0, ties in C's
+        # column on either side of Q's rate, and no crossing at all.
+        grid = np.linspace(0.0, 1.0, 5)
+        edges = [
+            SweepTable(grid, np.array(c_rate), np.array(q_rate), None, 1)
+            for c_rate, q_rate in [
+                ([0.0, 0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.5, 0.75, 1.0]),
+                ([0.0, 0.25, 0.25, 0.25, 0.5], [0.0, 0.25, 0.3, 0.5, 0.6]),
+                ([0.5, 0.5, 0.5, 0.5, 0.5], [0.0, 0.1, 0.5, 0.9, 0.5]),
+            ]
+        ]
+        for table in itertools.chain(
+            (run_sweep(SweepSpec(*config)) for config in configs), edges
+        ):
+            assert np.all(np.diff(table.c_rate) >= 0.0)
+            assert sign_boundary(table) == scan_boundary(table)
+
     def test_constant_sign_gives_empty_boundary(self):
         grid = np.linspace(0.0, 1.0, 3)
         table = SweepTable(grid, np.zeros(3), np.full(3, 0.1), np.full((3, 3), 0.1), 10)
@@ -345,7 +426,7 @@ class TestCsvFormat:
         assert format_float(-0.125) == "-0.125"
 
     def test_trace_csv_layout(self):
-        text = trace_csv(amplitude_trace(3, 4, 1))
+        text = "".join(trace_csv(amplitude_trace(3, 4, 1)))
         lines = text.splitlines()
         assert lines[0] == "iteration,p_target,p_other_each,amp_target"
         assert lines[1].startswith("0,0.125,0.125,")
@@ -355,7 +436,7 @@ class TestCsvFormat:
         spec = SweepSpec(GameConfig(2, GameVariant.GAME2, trials=7, seed=3), grid_points=3)
         table = run_sweep(spec)
         surface = expected_surface(table)
-        assert sweep_csv(table).splitlines()[1:] == [
+        assert "".join(sweep_csv(table)).splitlines()[1:] == [
             f"{format_float(p_c)},{format_float(p_q)},"
             f"{format_float(table.measured[i, j])},"
             f"{format_float(surface[i, j])},7"
@@ -364,11 +445,11 @@ class TestCsvFormat:
 
     def test_sweep_csv_header(self):
         spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=10), grid_points=2)
-        text = sweep_csv(run_sweep(spec))
+        text = "".join(sweep_csv(run_sweep(spec)))
         assert text.splitlines()[0] == "p_c,p_q,d_over_t,d_over_t_expected,trials"
 
     def test_boundary_csv(self):
-        assert boundary_csv([(0.1, 0.625)]) == "p_q,p_c_zero\n0.1,0.625\n"
+        assert "".join(boundary_csv([(0.1, 0.625)])) == "p_q,p_c_zero\n0.1,0.625\n"
 
 
 class TestSweepStrategyVariant:

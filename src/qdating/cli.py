@@ -83,6 +83,12 @@ def numpy_version() -> str:
     return module.__version__
 
 
+def environment() -> dict[str, str]:
+    """The Python and numpy versions, as a manifest records them."""
+    python = ".".join(map(str, sys.version_info[:3]))
+    return {"python": python, "numpy": numpy_version()}
+
+
 def write_manifest(args: argparse.Namespace) -> str:
     """The manifest's text; refuses a value that it could not replay.
 
@@ -91,13 +97,8 @@ def write_manifest(args: argparse.Namespace) -> str:
     and a value that is not valid UTF-8 (a path's undecodable bytes) could
     not be written at all.
     """
-    fields = {
-        "command": args.command,
-        "engine": ENGINE,
-        "version": __version__,
-        "python": ".".join(map(str, sys.version_info[:3])),
-        "numpy": numpy_version(),
-    }
+    fields = {"command": args.command, "engine": ENGINE, "version": __version__,
+              **environment()}
     for key, value in vars(args).items():
         if value is not None and key not in ("command", "func"):
             text, problem = str(value), None
@@ -265,6 +266,10 @@ def replay_argv(path: str) -> list[str]:
             f"rerun replays only {' and '.join(MANIFEST_COMMANDS)} manifests, "
             f"got command {command!r}"
         )
+    now = environment()
+    if moved := [key for key, value in now.items() if fields.get(key, value) != value]:
+        versions = "; ".join(f"{key} {fields[key]}, running {now[key]}" for key in moved)
+        print(f"warning: manifest written under {versions}", file=sys.stderr)
     return [command] + [
         f"{option(key)}={value}"
         for key, value in fields.items()

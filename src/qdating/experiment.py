@@ -8,8 +8,8 @@ and the measured D/T, its one G x G array; a cell's expected D/T is Q's
 rate minus C's, worked out where it is used.
 
 Only what draws or builds an array imports numpy, inside the function:
-``SweepSpec.grid`` and ``run_sweep``.  ``amplitude_trace``,
-``sign_boundary`` and the CSV emitters need only the numpy-free
+``SweepSpec.grid``, ``run_sweep`` and ``sweep_csv``.  ``amplitude_trace``,
+``sign_boundary`` and the other emitters need only the numpy-free
 ``qdating.kernel``, so ``trace`` never loads it.
 
 Outputs are plot-ready CSV text only, yielded in chunks (a sweep's one
@@ -30,10 +30,7 @@ from .game import (
     GameConfig, GameStats, WomanProfile, classic_rate, quantum_rate, row_streams,
 )
 from .kernel import (
-    OracleSpec,
-    closed_form_probability,
-    final_amplitudes,
-    grover_amplitudes,
+    OracleSpec, closed_form_probability, final_amplitudes, grover_amplitudes,
 )
 
 if TYPE_CHECKING:
@@ -110,12 +107,8 @@ def amplitude_trace(
     OracleSpec(target=target, n_qubits=n_qubits)  # checks --target's range
     has_others = n_qubits > 0
     return [
-        TracePoint(
-            iteration=k,
-            p_target=a_t * a_t,
-            p_other_each=a_r * a_r if has_others else 0.0,
-            amp_target=a_t,
-        )
+        TracePoint(iteration=k, p_target=a_t * a_t,
+                   p_other_each=a_r * a_r if has_others else 0.0, amp_target=a_t)
         for k, (a_t, a_r) in enumerate(grover_amplitudes(n_qubits, max_iterations))
     ]
 
@@ -127,8 +120,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     probability the kernel's a_t**2 for the draws and the closed form for
     the table's ``q_rate``, as in ``run_match`` and ``expected_dt``.  Row
     i's 2 x G binomial draw (C's then Q's successes) is row i of
-    ``row_streams(seed)``.  The target is always index 0, which every
-    register holds.
+    ``row_streams(seed)``; its exact Q - C counts go into ``measured[i]``,
+    and the table is divided by T once.  The target is index 0.
     """
     import numpy as np
 
@@ -144,7 +137,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for i, c_i in enumerate(c):
         rates[0] = c_i
         c_successes, q_successes = row_rng(i).binomial(cfg.trials, rates)
-        measured[i] = (q_successes - c_successes) / cfg.trials
+        np.subtract(q_successes, c_successes, out=measured[i])  # exact Q - C counts
+    measured /= cfg.trials
     q_rate = quantum_rate(p_closed, grid)
     return SweepTable(grid, np.array(c), q_rate, measured, cfg.trials)
 
@@ -186,16 +180,22 @@ def trace_csv(points: list[TracePoint]) -> Iterator[str]:
 
 
 def sweep_csv(table: SweepTable) -> Iterator[str]:
-    """One line per cell, row-major; a grid row's lines make one chunk."""
-    axis = [format_float(x) for x in table.grid]
-    q_rate = table.q_rate.tolist()
+    """One line per cell, row-major; a grid row's lines make one chunk.
+
+    A row is one ``%`` over a template in which P_c, each P_q and T are text
+    and each cell's measured and expected D/T are ``format_float``'s
+    ``%.12g``, filled from ``measured[i]`` interleaved with ``q_rate - c_rate[i]``.
+    """
+    import numpy as np
+
+    tails = [f",{format_float(p_q)},%.12g,%.12g,{table.trials}\n" for p_q in table.grid]
+    cells = np.empty((table.grid.size, 2))
     yield SWEEP_HEADER + "\n"
-    for p_c, c, measured in zip(axis, table.c_rate.tolist(), table.measured):
-        # The cell values in ``format_float``'s format.
-        yield "".join(
-            f"{p_c},{p_q},{m:.12g},{q - c:.12g},{table.trials}\n"
-            for p_q, q, m in zip(axis, q_rate, measured.tolist())
-        )
+    for p_c, c, measured in zip(table.grid, table.c_rate.tolist(), table.measured):
+        cells[:, 0] = measured
+        np.subtract(table.q_rate, c, out=cells[:, 1])
+        p_c = format_float(p_c)
+        yield (p_c + p_c.join(tails)) % tuple(cells.ravel().tolist())
 
 
 def boundary_csv(points: list[tuple[float, float]]) -> Iterator[str]:
@@ -206,16 +206,9 @@ def boundary_csv(points: list[tuple[float, float]]) -> Iterator[str]:
 
 def stats_csv_row(cfg: GameConfig, woman: WomanProfile, stats: GameStats) -> str:
     """Flat CSV row: variant,N,Pc,Pq,T,c_success,q_success,d_over_t,seed."""
-    return ",".join(
-        [
-            str(int(cfg.variant)),
-            str(cfg.N),
-            format_float(woman.p_accept_classic),
-            format_float(woman.p_accept_quantum),
-            str(stats.trials),
-            str(stats.c_successes),
-            str(stats.q_successes),
-            format_float(stats.d_over_t),
-            str(cfg.seed),
-        ]
-    )
+    return ",".join([
+        str(int(cfg.variant)), str(cfg.N), format_float(woman.p_accept_classic),
+        format_float(woman.p_accept_quantum), str(stats.trials),
+        str(stats.c_successes), str(stats.q_successes),
+        format_float(stats.d_over_t), str(cfg.seed),
+    ])

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import tracemalloc
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qdating import cli
 from qdating.cli import main, read_manifest
@@ -541,6 +545,73 @@ class TestAnalytic:
         assert out.strip() == "expected_dt,-0.0109375"
 
 
+# Each ``analytic`` flag's values (None leaves it out), where a changed value
+# changes the printed number.  N >= 8 and k <= iteration_bound(8): there
+# p_G(k) takes a different value at each k (at N = 2 every k gives 1/2, at
+# N = 4 k = 0 and 2 both give 1/4), and P_c, P_q > 0 keep each rate in play.
+ANALYTIC_FLAGS = {
+    "--n": st.sampled_from([2**e for e in range(3, 17)]),
+    "--iterations": st.none() | st.integers(0, 28),
+    "--variant": st.none() | st.sampled_from([1, 2]),
+    "--pc": st.none() | st.integers(1, 20).map(lambda i: i / 20),
+    "--pq": st.none() | st.integers(1, 20).map(lambda i: i / 20),
+    "--grover-iterations": st.none() | st.integers(0, 28),
+    "--classic-strategy": st.none() | st.sampled_from(["memoryless", "sweep"]),
+}
+# Left out, a match option takes GameConfig's value, which is no change.
+ANALYTIC_DEFAULTS = {"--grover-iterations": 1, "--classic-strategy": "memoryless"}
+
+
+def analytic(flags):
+    """(exit code, stdout) of ``analytic`` with the flags that are not None."""
+    argv = ["analytic"] + [f"{flag}={value}" for flag, value in flags.items()
+                           if value is not None]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+# Expected-d/t mode needs three flags given and one left out, so the search
+# reaches it least often; these change each flag of a game-2 call in turn.
+GAME2 = {"--n": 8, "--iterations": None, "--variant": 2, "--pc": 0.4, "--pq": 0.2,
+         "--grover-iterations": None, "--classic-strategy": None}
+OTHER = {"--n": 16, "--iterations": 3, "--variant": 1, "--pc": 0.5, "--pq": 0.5,
+         "--grover-iterations": 2, "--classic-strategy": "sweep"}
+
+
+@given(st.fixed_dictionaries(ANALYTIC_FLAGS), st.fixed_dictionaries(ANALYTIC_FLAGS),
+       st.sampled_from(sorted(ANALYTIC_FLAGS)))
+@example(GAME2, OTHER, "--n")
+@example(GAME2, OTHER, "--iterations")
+@example(GAME2, OTHER, "--variant")
+@example(GAME2, OTHER, "--pc")
+@example(GAME2, OTHER, "--pq")
+@example(GAME2, OTHER, "--grover-iterations")
+@example(GAME2, OTHER, "--classic-strategy")
+@settings(max_examples=300, deadline=None)
+def test_analytic_flag_changes_stdout_or_is_refused(flags, other, flag):
+    """No flag is taken and then ignored: a new value shows or is a usage error.
+
+    The one exception is C's strategy in game 1, where C makes one attempt
+    a turn, so the memoryless and the sweep search are the same search: its
+    rate is P_c/N either way, and the printed values differ at most in their
+    last digit, where 1 - (1 - P_c/N) rounds differently.
+    """
+    def value(v):
+        return ANALYTIC_DEFAULTS.get(flag) if v is None else v
+
+    new = other[flag]
+    assume(value(new) != value(flags[flag]))
+    (code, out), (new_code, new_out) = analytic(flags), analytic({**flags, flag: new})
+    assert {code, new_code} <= {0, 2}
+    if code == new_code == 0 and flag == "--classic-strategy" and flags["--variant"] == 1:
+        values = [float(text.split(",")[1]) for text in (out, new_out)]
+        assert values[0] == pytest.approx(values[1], rel=1e-11, abs=1e-15)
+    elif code == new_code == 0:
+        assert out != new_out, (flags, flag, new, out)
+
+
 class TestManifestRoundTrip:
     def test_trace_rerun_byte_identical(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -613,6 +684,27 @@ class TestManifestRoundTrip:
         code, _, _ = run_cli(capsys, "rerun", "--manifest", str(manifest))
         assert code == 0
         assert manifest.read_bytes() == first
+
+    @pytest.mark.parametrize("key", ["numpy", "python"])
+    def test_rerun_warns_when_the_environment_differs(self, tmp_path, capsys, key):
+        out = tmp_path / "sweep.csv"
+        manifest = tmp_path / "sweep.csv.manifest"
+        run_cli(
+            capsys,
+            "sweep", "--variant", "2", "--qubits", "2", "--grid", "3",
+            "--trials", "20", "--seed", "5", "--out", str(out),
+        )
+        first = {path: path.read_bytes() for path in (out, manifest)}
+        assert run_cli(capsys, "rerun", "--manifest", str(manifest)) == (0, "", "")
+        running = read_manifest(str(manifest))[key]
+        text = manifest.read_text()
+        assert text.count(f"\n{key}={running}\n") == 1
+        manifest.write_text(text.replace(f"\n{key}={running}\n", f"\n{key}=0.0.1\n"))
+        code, stdout, err = run_cli(capsys, "rerun", "--manifest", str(manifest))
+        assert (code, stdout) == (0, "")
+        assert err == f"warning: manifest written under {key} 0.0.1, running {running}\n"
+        # The rerun's own manifest records the running versions again.
+        assert {path: path.read_bytes() for path in first} == first
 
     def test_rerun_builds_one_parser(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "trace.csv"

@@ -26,6 +26,7 @@ from qdating import (
 from qdating import experiment
 from qdating.experiment import (
     MAX_GRID_POINTS,
+    SWEEP_HEADER,
     boundary_csv,
     format_float,
     sweep_csv,
@@ -289,6 +290,26 @@ class TestRunSweep:
         run_sweep(SweepSpec(replace(cfg, seed=12), grid_points))
         np.testing.assert_array_equal(run_sweep(spec).measured, table.measured)
 
+    @pytest.mark.parametrize("trials", [1, 7, 1000, 2**63 - 1])
+    def test_measured_is_each_rows_exact_count_over_t(self, trials):
+        # Q - C is taken in integers, then divided by T: at T = 2**63 - 1
+        # the counts pass 2**53, so subtracting them as doubles would round.
+        rounds = False
+        for variant, strategy in itertools.product(GameVariant, ClassicStrategy):
+            cfg = GameConfig(3, variant, trials=trials, classic_strategy=strategy, seed=4)
+            table = run_sweep(SweepSpec(cfg, grid_points=6))
+            a_t, _ = final_amplitudes(cfg.n_qubits, cfg.quantum_iterations)
+            grid = table.grid.tolist()
+            for i, p_c in enumerate(grid):
+                women = [WomanProfile(0, p_c, p_q) for p_q in grid]
+                q, c = np.array([turn_rates(cfg, w, a_t * a_t) for w in women]).T
+                c_wins, q_wins = fresh_row_rng(cfg.seed, i).binomial(trials, [c, q])
+                exact = (q_wins - c_wins) / trials
+                np.testing.assert_array_equal(table.measured[i], exact)
+                doubles = (q_wins.astype(float) - c_wins.astype(float)) / trials
+                rounds |= not np.array_equal(doubles, exact)
+        assert rounds == (trials == 2**63 - 1)
+
     @pytest.mark.parametrize("variant", [GameVariant.GAME1, GameVariant.GAME2])
     def test_grid_sum_z(self, variant):
         # Rows draw from disjoint streams, so the grid sum of (measured -
@@ -419,6 +440,19 @@ class TestSignBoundary:
         assert sign_boundary(table) == []
 
 
+def per_cell_sweep_csv(table):
+    """``sweep_csv`` with one f-string per cell: the row template's reference."""
+    axis = [format_float(x) for x in table.grid]
+    q_rate = table.q_rate.tolist()
+    yield SWEEP_HEADER + "\n"
+    for p_c, c, measured in zip(axis, table.c_rate.tolist(), table.measured):
+        # The cell values in ``format_float``'s format.
+        yield "".join(
+            f"{p_c},{p_q},{m:.12g},{q - c:.12g},{table.trials}\n"
+            for p_q, q, m in zip(axis, q_rate, measured.tolist())
+        )
+
+
 class TestCsvFormat:
     def test_float_rendering(self):
         assert format_float(0.78125) == "0.78125"
@@ -442,6 +476,16 @@ class TestCsvFormat:
             f"{format_float(surface[i, j])},7"
             for i, j, p_c, p_q in cells(table)
         ]
+
+    @pytest.mark.parametrize("trials", [1, 7, 1000, 2**63 - 1])
+    @pytest.mark.parametrize("grid_points", [2, 3, 21, 101])
+    def test_sweep_csv_matches_the_per_cell_emitter(self, grid_points, trials):
+        for variant, strategy in itertools.product(GameVariant, ClassicStrategy):
+            cfg = GameConfig(
+                3, variant, trials=trials, classic_strategy=strategy, seed=grid_points
+            )
+            table = run_sweep(SweepSpec(cfg, grid_points))
+            assert list(sweep_csv(table)) == list(per_cell_sweep_csv(table))
 
     def test_sweep_csv_header(self):
         spec = SweepSpec(GameConfig(2, GameVariant.GAME1, trials=10), grid_points=2)

@@ -1,11 +1,11 @@
 """Command-line front end for reproducible trace / game / sweep runs.
 
-Every file-producing command writes a flat ``<output>.manifest`` of
-``key=value`` lines: the command, the RNG engine tag, the package, Python
-and numpy versions, then every parsed argument as resolved.  ``rerun``
-turns the arguments back into a command line, which ``main`` parses with
-the parser it already built and runs, so the output is regenerated
-byte-identically; it refuses a manifest from another engine.
+Each call builds only the options of the command it runs.  Every
+file-producing command writes a flat ``<output>.manifest`` of ``key=value``
+lines: the command, the RNG engine tag, the package, Python and numpy
+versions, then every parsed argument.  ``rerun`` turns the arguments back
+into a command line, which ``main`` parses with the one parser it built,
+so the output is regenerated byte-identically; it refuses another engine's.
 
 Exit codes: 0 success, 1 domain or runtime error, 2 usage error; 130 or
 143 when SIGINT or SIGTERM stops ``entrypoint``.
@@ -57,6 +57,7 @@ class UsageError(Exception):
 MANIFEST_COMMANDS = ("trace", "sweep")
 # Manifest keys that describe the run rather than hold one of its arguments.
 HEADER_KEYS = ("command", "engine", "version", "python", "numpy")
+VARIANTS = [int(variant) for variant in GameVariant]
 
 
 def option(dest: str) -> str:
@@ -280,30 +281,21 @@ def replay_argv(path: str) -> list[str]:
 def _add_search_options(p: argparse.ArgumentParser) -> None:
     """C's strategy and Q's iterates, with ``GameConfig``'s defaults."""
     strategies = [strategy.value for strategy in ClassicStrategy]
-    default = GameConfig.classic_strategy.value
-    p.add_argument("--classic-strategy", choices=strategies, default=default)
-    iterations = GameConfig.quantum_iterations
-    p.add_argument("--grover-iterations", type=int, default=iterations)
+    p.add_argument("--classic-strategy", choices=strategies,
+                   default=GameConfig.classic_strategy.value)
+    p.add_argument("--grover-iterations", type=int, default=GameConfig.quantum_iterations)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdating",
-        description="Grover-search traces and quantum-vs-classic dating games.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    variants = [int(variant) for variant in GameVariant]
-
-    p = sub.add_parser("trace", help="exact probability evolution CSV")
+def _trace_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--iterations", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("game", help="one match, stats row on stdout")
-    p.add_argument("--variant", type=int, choices=variants, required=True)
+
+def _game_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", type=int, choices=VARIANTS, required=True)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--pc", type=float, required=True)
     p.add_argument("--pq", type=float, required=True)
@@ -313,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_options(p)
     p.set_defaults(func=cmd_game)
 
-    p = sub.add_parser("sweep", help="(P_c, P_q) grid of matches to CSV")
-    p.add_argument("--variant", type=int, choices=variants, required=True)
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", type=int, choices=VARIANTS, required=True)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--grid", type=int, default=SweepSpec.grid_points)
     p.add_argument("--trials", type=int, default=GameConfig.trials)
@@ -324,30 +317,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary-out", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("analytic", help="closed-form values for scripting")
+
+def _analytic_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--variant", type=int, choices=variants, default=None)
+    p.add_argument("--variant", type=int, choices=VARIANTS, default=None)
     p.add_argument("--pc", type=float, default=None)
     p.add_argument("--pq", type=float, default=None)
     _add_search_options(p)
     # Unset unless given, so the modes that play no match can refuse them.
     p.set_defaults(func=cmd_analytic, grover_iterations=None, classic_strategy=None)
 
+
+COMMANDS = {  # name: (help line, the function that adds the command's options)
+    "trace": ("exact probability evolution CSV", _trace_options),
+    "game": ("one match, stats row on stdout", _game_options),
+    "sweep": ("(P_c, P_q) grid of matches to CSV", _sweep_options),
+    "analytic": ("closed-form values for scripting", _analytic_options),
     # ``main`` parses the manifest's command line in place of this one.
-    p = sub.add_parser("rerun", help="replay a run from its manifest")
-    p.add_argument("--manifest", required=True)
+    "rerun": ("replay a run from its manifest",
+              lambda p: p.add_argument("--manifest", required=True)),
+}
 
-    # Options are never abbreviated, so ``rerun`` refuses a manifest key that
-    # is only a prefix of one.
-    for p in sub.choices.values():
-        p.allow_abbrev = False
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command, but only ``command``'s options (every one's for ``None``).
+
+    ``rerun`` also gets the options of the commands it replays.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qdating",
+        description="Grover-search traces and quantum-vs-classic dating games.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_options) in COMMANDS.items():
+        # No option is abbreviated, so ``rerun`` refuses a manifest key that prefixes one.
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        if command in (None, name) or command == "rerun" and name in MANIFEST_COMMANDS:
+            add_options(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run ``argv`` (default ``sys.argv[1:]``); if it names no command, build them all."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.command == "rerun":

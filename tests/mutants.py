@@ -8,8 +8,9 @@ not proven.  pytest does not collect this file; ``test_mutants.py`` checks
 that every ``old`` still occurs exactly once and that every named test
 exists, so an edit that moves the code shows there.
 
-To run one: copy the repository, replace ``old`` by ``new`` in the copy's
-``file``, and run ``killed_by`` there (the whole suite for an equivalent).
+``run_mutants.py`` runs them all, each in its own copy of the repository:
+``killed_by`` must fail there, and an equivalent must fail only the tests
+that fail without it.
 """
 
 from typing import NamedTuple
@@ -34,6 +35,7 @@ EXACT_COUNTS = (
 BISECTION = (
     "tests/test_experiment.py::TestSignBoundary::test_bisection_matches_the_full_scan"
 )
+PER_COMMAND = "tests/test_cli.py::TestPerCommandParser"
 
 MUTANTS = [
     # The row template of ``sweep_csv`` and the in-place D/T of ``run_sweep``.
@@ -131,5 +133,28 @@ MUTANTS = [
         "if fields.get(key, value) != value]",
         "if fields.get(key, value) == value]",
         "tests/test_cli.py::TestManifestRoundTrip::test_rerun_warns_when_the_environment_differs",
+    ),
+    # ``main`` builds only the options of the command it runs.  The first
+    # changes no output, so only the parser's contents can show it.
+    Mutant(
+        "parser-builds-every-command",
+        "src/qdating/cli.py",
+        '        if command in (None, name) or command == "rerun" and name in MANIFEST_COMMANDS:\n',
+        "        if True:\n",
+        f"{PER_COMMAND}::test_game_parser_adds_no_other_options",
+    ),
+    Mutant(
+        "rerun-parser-without-replayed-options",
+        "src/qdating/cli.py",
+        ' or command == "rerun" and name in MANIFEST_COMMANDS:',
+        ":",
+        f"{PER_COMMAND}::test_rerun_parser_adds_the_replayed_options",
+    ),
+    Mutant(
+        "parser-from-the-last-token",
+        "src/qdating/cli.py",
+        "build_parser(argv[0] if argv and argv[0] in COMMANDS else None)",
+        "build_parser(argv[-1] if argv and argv[-1] in COMMANDS else None)",
+        f"{PER_COMMAND}::test_main_builds_the_parser_its_first_token_names",
     ),
 ]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -884,3 +885,130 @@ class TestGoldenBytes:
         )
         assert code == 0
         assert self.digest(out.encode()) == self.GAME
+
+
+GAME_ARGV = ["game", "--variant", "1", "--qubits", "3", "--pc", "0.8", "--pq", "0.3",
+             "--trials", "1000", "--seed", "1"]
+# Argvs whose exit code, stdout and stderr must not depend on how much of the
+# parser ``main`` builds: help pages, errors from every layer, and valid runs.
+ARGV_TABLE = {
+    "no-command": [],
+    "help": ["-h"],
+    "version": ["--version"],
+    "dashdash-command": ["--", "analytic"],
+    "unknown-option-then-command": ["--bogus", "game"],
+    "abbreviated-command": ["gam", "--variant", "1"],
+    "unknown-command": ["frobnicate"],
+    "trace-help": ["trace", "-h"],
+    "game-help": ["game", "--help"],
+    "sweep-help": ["sweep", "-h"],
+    "analytic-help": ["analytic", "-h"],
+    "rerun-help": ["rerun", "-h"],
+    "abbreviated-option": ["analytic", "--it", "2", "--n", "8"],
+    "bad-choice": ["game", "--variant", "3", "--qubits", "3", "--pc", "0.5", "--pq", "0.5"],
+    "bad-int": ["game", "--variant", "1", "--qubits", "x", "--pc", "0.5", "--pq", "0.5"],
+    "extra-positional": ["analytic", "--n", "8", "extra"],
+    "missing-required": ["trace", "--qubits", "3"],
+    "another-commands-option": ["game", "--n", "8"],
+    "version-after-command": ["game", "--version"],
+    "rerun-without-manifest": ["rerun"],
+    "game": GAME_ARGV,
+}
+# One valid argv per command, and the two command lines that ``rerun`` replays.
+VALID_ARGV = {
+    "trace": ("trace", ["trace", "--qubits", "3", "--target", "1", "--iterations", "2",
+                        "--out", "t.csv"]),
+    "game": ("game", GAME_ARGV),
+    "sweep": ("sweep", ["sweep", "--variant", "2", "--qubits", "3", "--out", "s.csv",
+                        "--boundary-out", "b.csv"]),
+    "analytic": ("analytic", ["analytic", "--n", "8", "--variant", "1", "--pc", "0.5",
+                              "--pq", "0.5"]),
+    "rerun": ("rerun", ["rerun", "--manifest", "s.csv.manifest"]),
+}
+VALID_ARGV["rerun-replays-trace"] = ("rerun", VALID_ARGV["trace"][1])
+VALID_ARGV["rerun-replays-sweep"] = ("rerun", VALID_ARGV["sweep"][1])
+
+
+def sub_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def options(parser: argparse.ArgumentParser) -> dict[str, list[str]]:
+    """Each command's option dests, ``--help`` aside."""
+    return {name: [action.dest for action in p._actions if action.dest != "help"]
+            for name, p in sub_parsers(parser).items()}
+
+
+class TestPerCommandParser:
+    """``main`` builds only the options of the command it runs.
+
+    What a user sees must be what the full parser gives: each is compared with
+    ``build_parser()``, which holds every command's options.
+    """
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_matches_the_full_parser(self, command):
+        full, own = cli.build_parser(), cli.build_parser(command)
+        assert own.format_help() == full.format_help()
+        assert (sub_parsers(own)[command].format_help()
+                == sub_parsers(full)[command].format_help())
+
+    @pytest.mark.parametrize("argv", list(ARGV_TABLE.values()), ids=list(ARGV_TABLE))
+    def test_argv_table_matches_the_full_parser(self, monkeypatch, capsys, argv):
+        own = run_cli(capsys, *argv)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        assert own == run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("command, argv", list(VALID_ARGV.values()), ids=list(VALID_ARGV))
+    def test_parsed_args_match_the_full_parser(self, command, argv):
+        full = vars(cli.build_parser().parse_args(argv))
+        own = vars(cli.build_parser(command).parse_args(argv))
+        assert list(own.items()) == list(full.items())  # in order: a manifest's key order
+
+    def test_game_parser_adds_no_other_options(self):
+        full = options(cli.build_parser())
+        assert all(full.values())
+        assert options(cli.build_parser("game")) == {
+            name: dests if name == "game" else [] for name, dests in full.items()
+        }
+        assert cli.build_parser("game") is not cli.build_parser("game")
+
+    def test_rerun_parser_adds_the_replayed_options(self):
+        full = options(cli.build_parser())
+        kept = {"rerun", "trace", "sweep"}
+        assert options(cli.build_parser("rerun")) == {
+            name: dests if name in kept else [] for name, dests in full.items()
+        }
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (GAME_ARGV, "game"),
+            (["analytic", "--n", "8"], "analytic"),
+            (["rerun", "--manifest", "missing.manifest"], "rerun"),
+            (["--bogus", "game"], None),
+            (["--", "analytic"], None),
+            (["gam"], None),
+            ([], None),
+        ],
+    )
+    def test_main_builds_the_parser_its_first_token_names(
+        self, monkeypatch, capsys, argv, command
+    ):
+        built, build = [], cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli.main(argv)
+        capsys.readouterr()
+        assert built == [command]
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["qdating", "analytic", "--n", "8"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == "optimal_iterations,2\n"

@@ -280,18 +280,37 @@ cli.entrypoint()
 """
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX signals")
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
-def test_signal_mid_write_exits_with_one_line_and_leaves_no_file(tmp_path, signum):
-    """SIGTERM or SIGINT while a sweep's files are staged: one line, exit 128 + n.
+# The sweep cases keep the bare signal names as ids.
+SIGNAL_RUNS = [
+    pytest.param(run, signum, id=f"{run}-{signum.name[3:]}".removeprefix("sweep-"))
+    for run in ("sweep", "trace", "rerun")
+    for signum in (signal.SIGTERM, signal.SIGINT)
+]
 
-    The earlier run's file stays as it was, and no temporary file is left.
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX signals")
+@pytest.mark.parametrize("run, signum", SIGNAL_RUNS)
+def test_signal_mid_write_exits_with_one_line_and_leaves_no_file(tmp_path, run, signum):
+    """SIGTERM or SIGINT while a run's files are staged: one line, exit 128 + n.
+
+    The run is a sweep, a trace, or a ``rerun`` of a sweep's manifest.  The
+    earlier run's files stay as they were, and no temporary file is left.
     """
-    (tmp_path / "s.csv").write_text("earlier\n")
+    out = str(tmp_path / "s.csv")
+    sweep = [*SWEEP, "--grid=21", "--out", out, "--boundary-out", str(tmp_path / "b.csv")]
+    argv = {
+        "sweep": sweep,
+        "trace": ["trace", "--qubits", "10", "--target", "7", "--iterations", "30",
+                  "--out", out],
+        "rerun": ["rerun", "--manifest", out + ".manifest"],
+    }[run]
+    if run == "rerun":
+        assert main(sweep) == 0  # the earlier run, which the rerun replays
+    else:
+        (tmp_path / "s.csv").write_text("earlier\n")
     before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     child = subprocess.Popen(
-        [sys.executable, "-c", SLOW_WRITE, *SWEEP, "--grid=21",
-         "--out", str(tmp_path / "s.csv"), "--boundary-out", str(tmp_path / "b.csv")],
+        [sys.executable, "-c", SLOW_WRITE, *argv],
         env=CHILD_ENV, stderr=subprocess.PIPE, text=True,
         # A SIGINT that this process ignores would be ignored by the child too.
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),

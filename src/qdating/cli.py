@@ -1,11 +1,13 @@
 """Command-line front end for reproducible trace / game / sweep runs.
 
-Each call builds only the options of the command it runs.  Every
-file-producing command writes a flat ``<output>.manifest`` of ``key=value``
-lines: the command, the RNG engine tag, the package, Python and numpy
-versions, then every parsed argument.  ``rerun`` turns the arguments back
-into a command line, which ``main`` parses with the one parser it built,
-so the output is regenerated byte-identically; it refuses another engine's.
+Each call builds only the options of the command it runs; a command it
+cannot reach gets no ``-h`` either, and only names itself in the top
+level's help and errors.  Every file-producing command writes a flat
+``<output>.manifest`` of ``key=value`` lines: the command, the RNG engine
+tag, the package, Python and numpy versions, then every parsed argument.
+``rerun`` turns the arguments back into a command line, which ``main``
+parses with the one parser it built, so the output is regenerated
+byte-identically; it refuses another engine's.
 
 Exit codes: 0 success, 1 domain or runtime error, 2 usage error; 130 or
 143 when SIGINT or SIGTERM stops ``entrypoint``.
@@ -343,7 +345,9 @@ COMMANDS = {  # name: (help line, the function that adds the command's options)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Every command, but only ``command``'s options (every one's for ``None``).
 
-    ``rerun`` also gets the options of the commands it replays.
+    ``rerun`` also gets the options of the commands it replays.  A sub-parser
+    that ``command`` cannot reach holds no action at all, not even ``-h``,
+    since argparse never parses with it.
     """
     parser = argparse.ArgumentParser(
         prog="qdating",
@@ -352,9 +356,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_options) in COMMANDS.items():
+        reached = command in (None, name) or command == "rerun" and name in MANIFEST_COMMANDS
         # No option is abbreviated, so ``rerun`` refuses a manifest key that prefixes one.
-        p = sub.add_parser(name, help=text, allow_abbrev=False)
-        if command in (None, name) or command == "rerun" and name in MANIFEST_COMMANDS:
+        p = sub.add_parser(name, help=text, allow_abbrev=False, add_help=reached)
+        if reached:
             add_options(p)
     return parser
 
@@ -362,8 +367,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run ``argv`` (default ``sys.argv[1:]``); if it names no command, build them all."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         args = parser.parse_args(argv)
         if args.command == "rerun":
             args = parser.parse_args(replay_argv(args.manifest))

@@ -36,6 +36,7 @@ BISECTION = (
     "tests/test_experiment.py::TestSignBoundary::test_bisection_matches_the_full_scan"
 )
 PER_COMMAND = "tests/test_cli.py::TestPerCommandParser"
+EXIT_CODES = "tests/test_cli_exit_codes.py"
 
 MUTANTS = [
     # The row template of ``sweep_csv`` and the in-place D/T of ``run_sweep``.
@@ -134,21 +135,53 @@ MUTANTS = [
         "if fields.get(key, value) == value]",
         "tests/test_cli.py::TestManifestRoundTrip::test_rerun_warns_when_the_environment_differs",
     ),
-    # ``main`` builds only the options of the command it runs.  The first
-    # changes no output, so only the parser's contents can show it.
+    # ``main`` builds only the options of the command it runs, and ``-h``
+    # only on the sub-parsers it can reach.  The first and the fourth change
+    # no output, so only the parser's contents can show them.
     Mutant(
         "parser-builds-every-command",
         "src/qdating/cli.py",
-        '        if command in (None, name) or command == "rerun" and name in MANIFEST_COMMANDS:\n',
+        "        if reached:\n",
         "        if True:\n",
         f"{PER_COMMAND}::test_game_parser_adds_no_other_options",
     ),
     Mutant(
         "rerun-parser-without-replayed-options",
         "src/qdating/cli.py",
-        ' or command == "rerun" and name in MANIFEST_COMMANDS:',
-        ":",
+        ' or command == "rerun" and name in MANIFEST_COMMANDS\n',
+        "\n",
         f"{PER_COMMAND}::test_rerun_parser_adds_the_replayed_options",
+    ),
+    Mutant(
+        "reached-sub-parser-without-help",
+        "src/qdating/cli.py",
+        "add_help=reached)",
+        "add_help=command is None)",
+        f"{PER_COMMAND}::test_argv_table_matches_the_full_parser",
+    ),
+    Mutant(
+        "every-sub-parser-gets-help",
+        "src/qdating/cli.py",
+        "add_help=reached)",
+        "add_help=True)",
+        f"{PER_COMMAND}::test_only_reached_sub_parsers_hold_actions",
+    ),
+    # A run that cannot load the program or build its parser ends in one line.
+    Mutant(
+        "program-import-without-memory-handler",
+        "src/qdating/__main__.py",
+        "except (MemoryError, SystemError) as exc:",
+        "except ImportError as exc:",
+        f"{EXIT_CODES}::test_capped_run_exits_with_one_line_at_most_and_leaves_no_file",
+    ),
+    Mutant(
+        "parser-built-outside-try",
+        "src/qdating/cli.py",
+        "    try:\n"
+        "        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)\n",
+        "    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)\n"
+        "    try:\n",
+        f"{EXIT_CODES}::test_parser_out_of_memory_exits_1",
     ),
     Mutant(
         "parser-from-the-last-token",

@@ -982,6 +982,17 @@ class TestPerCommandParser:
             name: dests if name in kept else [] for name, dests in full.items()
         }
 
+    @pytest.mark.parametrize("command", [*cli.COMMANDS, None])
+    def test_only_reached_sub_parsers_hold_actions(self, command):
+        """A sub-parser that ``command`` cannot reach holds no action, not even ``-h``."""
+        wider = {None: set(cli.COMMANDS), "rerun": {"rerun", "trace", "sweep"}}
+        reached = wider.get(command, {command})
+        for name, p in sub_parsers(cli.build_parser(command)).items():
+            if name in reached:
+                assert p._actions[0].option_strings == ["-h", "--help"], name
+            else:
+                assert p._actions == [], name
+
     @pytest.mark.parametrize(
         "argv, command",
         [

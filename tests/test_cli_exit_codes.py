@@ -152,6 +152,17 @@ def test_oversized_inputs_exit_1(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_parser_out_of_memory_exits_1(monkeypatch, capsys):
+    """Building the parser can run out of memory too: argparse loads ``locale`` then."""
+
+    def build_parser(command=None):
+        raise MemoryError
+
+    monkeypatch.setattr("qdating.cli.build_parser", build_parser)
+    assert main(["analytic", "--n", "8"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 # One BLAS thread, so that a child's address space does not grow with the cores.
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
@@ -173,6 +184,10 @@ def run_limited(argv, limit):
         [sys.executable, "-m", "qdating", *argv], env=CHILD_ENV,
         preexec_fn=limit_memory, capture_output=True, text=True, timeout=120,
     )
+
+
+# What ``python -m qdating *argv`` runs, as a statement for ``peak_address_space``.
+MAIN = "import sys\nfrom qdating.cli import main\nmain(sys.argv[1:])"
 
 
 def peak_address_space(statement, *argv):
@@ -202,10 +217,9 @@ def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
     and 113 MiB.
     """
     mib = 1 << 20
-    run = "import sys\nfrom qdating.cli import main\nmain(sys.argv[1:])"
     measured = str(tmp_path / "measured.csv")
     low, high = (
-        peak_address_space(run, *SWEEP, f"--grid={grid}", "--out", measured)
+        peak_address_space(MAIN, *SWEEP, f"--grid={grid}", "--out", measured)
         for grid in (21, MAX_GRID_POINTS)
     )
     assert high - low >= 4 * mib
@@ -265,6 +279,64 @@ def test_failed_numpy_import_exits_1_with_one_error_line(tmp_path):
          "--out", str(tmp_path / "t.csv")], low,
     )
     assert trace.returncode == 0, trace.stderr
+
+
+# One run per command; DIR is its output directory.  The rerun replays the
+# sweep, whose files are in DIR before it starts.
+CAPPED_RUNS = {
+    "analytic": ["analytic", "--n", "1024"],
+    "trace": ["trace", "--qubits", "10", "--target", "7", "--iterations", "30",
+              "--out", "DIR/t.csv"],
+    "game": ["game", "--variant", "1", "--qubits", "3", "--pc", "0.8", "--pq", "0.3",
+             "--trials", "1000", "--seed", "1"],
+    "sweep": [*SWEEP, "--grid=21", "--out", "DIR/s.csv", "--boundary-out", "DIR/b.csv"],
+    "rerun": ["rerun", "--manifest", "DIR/s.csv.manifest"],
+}
+
+
+@needs_rlimit_as
+@pytest.mark.parametrize("command", CAPPED_RUNS)
+def test_capped_run_exits_with_one_line_at_most_and_leaves_no_file(tmp_path, command):
+    """Under an address-space cap, a run ends in one stderr line at most.
+
+    The caps are 60, 80 and 95 % of the command's own peak address space,
+    and never below ``python -c pass``'s peak, rounded up to a whole MiB:
+    below that the interpreter itself fails before any of the program
+    runs.  A run that fails leaves its directory as it was, and one that
+    succeeds leaves what an uncapped run leaves.  On a 2-core Xeon VM
+    (Python 3.11.7, numpy 2.4.6) the peaks were 16.2 MiB for ``pass``,
+    18.0 MiB for ``analytic`` and ``trace`` and 107.0 MiB for the rest.
+    Every capped run exited 1: ``analytic`` and ``trace`` at 17.0 and
+    17.1 MiB with ``error: MemoryError`` (or, in 2 of 20 runs,
+    ``error: SystemError``), the others with OpenBLAS's own line at 60 and
+    80 % and with a numpy shared object that could not be mapped at 95 %.
+    """
+    mib = 1 << 20
+    out = tmp_path / "out"
+    argv = [arg.replace("DIR", str(out)) for arg in CAPPED_RUNS[command]]
+    out.mkdir()
+    if command == "rerun":
+        assert main([arg.replace("DIR", str(out)) for arg in CAPPED_RUNS["sweep"]]) == 0
+    else:
+        (out / "t.csv").write_text("earlier\n")
+
+    def files():
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    before = files()
+    peak = peak_address_space(MAIN, *argv)
+    after = files()
+    floor = -(-peak_address_space("pass") // mib) * mib
+    for limit in sorted({max(int(share * peak), floor) for share in (0.6, 0.8, 0.95)}):
+        for path in out.iterdir():
+            path.unlink()
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        capped = run_limited(argv, limit)
+        assert capped.returncode in (0, 1, 2), (limit, capped.stderr)
+        assert "Traceback" not in capped.stderr, (limit, capped.stderr)
+        assert len(capped.stderr.splitlines()) <= 1, (limit, capped.stderr)
+        assert files() == (after if capped.returncode == 0 else before), limit
 
 
 # ``entrypoint`` with every chunk's write slowed, so that a signal lands mid-write.
